@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -105,9 +106,13 @@ class Catalog:
                 self.warnings.append(f"malformed record skipped: {line!r}")
                 continue
             n, k, status, witness, provenance = fields
-            rec = CatalogRecord(
-                int(n), int(k), status, None if witness == "-" else witness, provenance
-            )
+            try:
+                rec = CatalogRecord(
+                    int(n), int(k), status, None if witness == "-" else witness, provenance
+                )
+            except ValueError as exc:
+                self.warnings.append(f"malformed record skipped ({exc}): {line!r}")
+                continue
             if rec.status == "exists" and rec.witness is not None:
                 rec = self._check_witness(rec)
             self.records[(rec.n, rec.k)] = rec
@@ -139,7 +144,18 @@ class Catalog:
                     (str(rec.n), str(rec.k), rec.status, rec.witness or "-", rec.provenance)
                 )
             )
-        (self.root / RECORD_FILE).write_text("\n".join(lines) + "\n")
+        # write a sibling file and rename it over the old one, so a failed
+        # or interrupted write leaves the previous records intact
+        tmp = self.root / (RECORD_FILE + ".tmp")
+        try:
+            with tmp.open("w") as fh:
+                fh.write("\n".join(lines) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.root / RECORD_FILE)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # -------------------------------------------------------------- queries
 

@@ -101,10 +101,10 @@ def cmd_margins(args) -> int:
             (m, table.col_orbits, args.coeff_bound * d),
         ]
     for modulus, part, bound in sides:
-        raw = margins_mod.solve_margin_system(s, args.k, part.sizes, bound)
+        raw = margins_mod.count_margin_solutions(s, args.k, part.sizes, bound)
         print(f"fold onto Z_{modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
-        print(f"  {len(raw)} solutions of the two moment equations")
-        consistent = margins_mod.fold_consistency_filter(raw, part, args.k)
+        print(f"  {raw} solutions of the two moment equations")
+        consistent = margins_mod.lift_margin_solutions(s, args.k, part, bound)
         print(f"  {len(consistent)} remain after full fold consistency")
         for sol in consistent:
             print(f"    b = {sol.values}  scaled = {sol.scaled}")

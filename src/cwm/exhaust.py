@@ -212,15 +212,21 @@ def side_margin_solutions(
     cofactor: int,
     fold_consistency: bool = True,
 ) -> list[margins_mod.MarginSolution]:
-    """Margin solutions for one fold, after every sound filter."""
-    sols = margins_mod.solve_margin_system(
-        s, k, partition.sizes, coeff_bound * cofactor
-    )
-    for p, a in _sc_exponents(k):
-        if is_self_conjugate(p, partition.modulus):
-            sols = margins_mod.self_conjugacy_filter(sols, p, partition.modulus, a)
+    """Margin solutions for one fold, after every sound filter.
+
+    With fold_consistency the solutions are lifted through the quotients
+    of the fold; without it every moment solution that passes the
+    self-conjugacy filter is listed."""
+    bound = coeff_bound * cofactor
+    exponents = [
+        (p, a) for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
+    ]
     if fold_consistency:
-        sols = margins_mod.fold_consistency_filter(sols, partition, k)
+        divisor = math.prod(p**a for p, a in exponents)
+        return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
+    sols = margins_mod.solve_margin_system(s, k, partition.sizes, bound)
+    for p, a in exponents:
+        sols = margins_mod.self_conjugacy_filter(sols, p, partition.modulus, a)
     return sols
 
 

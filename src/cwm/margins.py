@@ -7,18 +7,28 @@ b_i with
     sum_i b_i^2 * size_i = k = s^2
     |b_i| <= coefficient bound * (n / m)
 
-one b per orbit of the multiplier on Z_m.  Solving these systems (and
-shrinking the solution set with the self-conjugacy divisibility theorem
-and with full fold consistency) yields the row/column margin targets
-that drive the exhaustive search.
+one b per orbit of the multiplier on Z_m.  The fold B also satisfies the
+full fold equation B * B^(-1) = k, which these two moment identities
+only sample.  The margin targets that drive the exhaustive search are
+the solutions of that equation, with every b divisible by p^a where the
+self-conjugacy divisibility theorem applies.
+
+lift_margin_solutions finds them by quotient lifting: the fold of such a
+B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
+set is built from Z_1 = (s) one prime at a time, each level keeping only
+vectors with B * B^(-1) = k.  solve_margin_system enumerates every
+solution of the two moment identities instead; it stays as the oracle
+the lifter is tested against, and count_margin_solutions counts its
+solutions without listing them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .numbertheory import OrbitPartition, is_self_conjugate
+from .numbertheory import OrbitPartition, factorize, is_self_conjugate, orbits
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,130 @@ def solve_margin_system(s: int, k: int, orbit_sizes: Sequence[int], bound: int) 
         acc[i] = 0
 
     rec(0, 0, 0)
+    return out
+
+
+def count_margin_solutions(s: int, k: int, orbit_sizes: Sequence[int], bound: int) -> int:
+    """len(solve_margin_system(s, k, orbit_sizes, bound)), by dynamic
+    programming over (linear sum, square sum) instead of enumeration."""
+    if s * s != k:
+        raise ValueError(f"k = {k} is not s^2 for s = {s}")
+    states = {(0, 0): 1}
+    later = sum(orbit_sizes)
+    for size in orbit_sizes:
+        later -= size
+        top = min(bound, math.isqrt(k // size))
+        nxt: dict[tuple[int, int], int] = {}
+        for (lin, sq), ways in states.items():
+            for b in range(-top, top + 1):
+                nlin, nsq = lin + b * size, sq + b * b * size
+                # the Cauchy-Schwarz cut of solve_margin_system
+                if nsq <= k and (s - nlin) ** 2 <= (k - nsq) * later:
+                    nxt[nlin, nsq] = nxt.get((nlin, nsq), 0) + ways
+        states = nxt
+    return states.get((s, k), 0)
+
+
+def lift_margin_solutions(
+    s: int, k: int, partition: OrbitPartition, bound: int, divisor: int = 1
+) -> list[MarginSolution]:
+    """Orbit-constant B on Z_m with sum s, B * B^(-1) = k, |b_i| <= bound
+    and every b_i divisible by divisor, in lexicographic order.
+
+    The same list as fold_consistency_filter applied to the solutions of
+    solve_margin_system(s, k, partition.sizes, bound) that divisor
+    divides, found by lifting from Z_1 through the prime chain of m.  A
+    solution on Z_m folds onto a solution on each Z_q (q | m) with bound
+    bound * m / q, so every level keeps every fold of a final solution.
+    """
+    if s * s != k:
+        raise ValueError(f"k = {k} is not s^2 for s = {s}")
+    if divisor < 1:
+        raise ValueError("divisor must be >= 1")
+    m = partition.modulus
+    if abs(s) > bound * m or s % divisor:
+        return []
+    parent = orbits(1, 1)
+    level = [MarginSolution(parent.sizes, (s,))]
+    q = 1
+    for p, e in sorted(factorize(m).items(), reverse=True):
+        for _ in range(e):
+            q *= p
+            child = partition if q == m else orbits(q, partition.multiplier)
+            level = _lift_level(level, parent, child, p, k, bound * (m // q), divisor)
+            level = fold_consistency_filter(level, child, k)
+            parent = child
+    return sorted(level, key=lambda sol: sol.values)
+
+
+def _lift_level(
+    level: list[MarginSolution],
+    parent: OrbitPartition,
+    child: OrbitPartition,
+    p: int,
+    k: int,
+    bound: int,
+    divisor: int,
+) -> list[MarginSolution]:
+    """Orbit-constant vectors on Z_{p*q} with square mass k, |b| <= bound
+    and divisor | b that fold onto a vector of level (on Z_q)."""
+    # child orbits grouped by the parent orbit they reduce into; a child
+    # vector folds onto c iff sum b_O * |O| = |O'| * c_O' for each parent O'
+    groups: list[list[int]] = [[] for _ in parent.orbits]
+    for oid, (rep, _) in enumerate(child.orbits):
+        groups[parent.orbit_of(rep)].append(oid)
+    sizes = child.sizes
+    top = bound - bound % divisor
+    choices = range(-top, top + 1, divisor)
+    # (orbit, size, group, mass of the group's later orbits, square
+    # capacity of all later orbits)
+    plan = []
+    later = sum(sizes)
+    for j, members in enumerate(groups):
+        rest = sum(sizes[oid] for oid in members)
+        for oid in members:
+            rest -= sizes[oid]
+            later -= sizes[oid]
+            plan.append((oid, sizes[oid], j, rest, top * top * later))
+    group_start = [members[0] for members in groups]
+    vec = [0] * len(sizes)
+    out: list[MarginSolution] = []
+
+    for sol in level:
+        target = [len(members) * c for (_, members), c in zip(parent.orbits, sol.values)]
+        # least square mass of groups j..: each of the |O'| fibres of p
+        # elements sums to c, so its parts are as equal as divisibility allows
+        floor = [0] * (len(groups) + 1)
+        for j in range(len(groups) - 1, -1, -1):
+            a, r = divmod(abs(sol.values[j]) // divisor, p)
+            fibre = divisor * divisor * (r * (a + 1) ** 2 + (p - r) * a * a)
+            floor[j] = floor[j + 1] + len(parent.orbits[j][1]) * fibre
+
+        def rec(i: int, need: int, budget: int):
+            if i == len(plan):
+                if budget == 0:
+                    out.append(MarginSolution(sizes, tuple(vec)))
+                return
+            oid, size, j, rest, capacity = plan[i]
+            if oid == group_start[j]:
+                need = target[j]
+            if rest:
+                values = choices
+            else:  # the group's last orbit takes what its target leaves
+                b, r = divmod(need, size)
+                values = (b,) if not r and abs(b) <= bound and not b % divisor else ()
+            for b in values:
+                nneed = need - b * size
+                nbudget = budget - b * b * size
+                # Cauchy-Schwarz on the group's later orbits, floors on later
+                # groups, and |b| <= bound on all later orbits
+                slack = nbudget - floor[j + 1]
+                if slack < 0 or nneed * nneed > slack * rest or nbudget > capacity:
+                    continue
+                vec[oid] = b
+                rec(i + 1, nneed, nbudget)
+
+        rec(0, 0, k)
     return out
 
 

@@ -30,6 +30,7 @@ from cwm.groupring import (
 from cwm.margins import (
     expand,
     fold_consistency_filter,
+    lift_margin_solutions,
     margin_pairs,
     reduce_by_shifts,
     solve_margin_system,
@@ -263,6 +264,8 @@ class TestCriterion4:
             }
             if {expand(sol, part) for sol in consistent} != oracle:
                 problems.append(f"Z_{side} consistent set differs from the lifting oracle")
+            if {expand(sol, part) for sol in lift_margin_solutions(7, 49, part, bound)} != oracle:
+                problems.append(f"Z_{side} library lifted set differs from the lifting oracle")
             if counts[side] != expected:
                 problems.append(f"Z_{side} counts {counts[side]} != oracle {expected}")
         if counts[9]["consistent"] != self.PUBLISHED[0]:

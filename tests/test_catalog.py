@@ -5,6 +5,7 @@ from cwm.catalog import (
     CatalogIntegrityError,
     CatalogRecord,
     OPEN_CASES,
+    RECORD_FILE,
     seed_known_results,
 )
 from cwm.groupring import witness_format
@@ -72,6 +73,36 @@ class TestPersistence:
 
     def test_unknown_cell_reads_open(self, tmp_path):
         assert Catalog(tmp_path).status(57, 49) == "open"
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "1x0\t81\tnonexistent\t-\tanalysis",
+            "110\teighty-one\tnonexistent\t-\tanalysis",
+            "110\t81\tmaybe\t-\tanalysis",
+        ],
+        ids=["n", "k", "status"],
+    )
+    def test_bad_field_skipped_with_warning(self, tmp_path, bad_line):
+        (tmp_path / RECORD_FILE).write_text(
+            f"{bad_line}\n130\t81\tnonexistent\t-\tanalysis\n"
+        )
+        cat = Catalog(tmp_path)
+        assert list(cat.records) == [(130, 81)]
+        assert len(cat.warnings) == 1 and "malformed record skipped" in cat.warnings[0]
+
+    def test_failed_save_keeps_old_records(self, tmp_path):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(110, 81, "nonexistent", None, "analysis"))
+        cat.save()
+        before = (tmp_path / RECORD_FILE).read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails part way
+        cat.upsert(CatalogRecord(130, 81, "nonexistent", None, "analysis \udc80"))
+        with pytest.raises(UnicodeEncodeError):
+            cat.save()
+        assert (tmp_path / RECORD_FILE).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [RECORD_FILE]
+        assert Catalog(tmp_path).status(110, 81) == "nonexistent"
 
 
 class TestImport:

@@ -1,10 +1,13 @@
 import importlib.resources
+from pathlib import Path
 
 import pytest
 
 from cwm.cli import main
 from cwm.groupring import witness_format, witness_parse
 
+# stdout of `cwm margins` as the enumerate-then-filter margin path printed it
+GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
     return str(importlib.resources.files("cwm").joinpath("data", "witnesses", name))
@@ -92,6 +95,12 @@ class TestOrbitsAndMargins:
         code, out, _ = run(capsys, "margins", "--n", "110", "--k", "81")
         assert code == 0
         assert "fold onto Z_10" in out and "fold onto Z_11" in out
+
+    @pytest.mark.parametrize("n,k", [(110, 81), (144, 49), (160, 81), (63, 16), (143, 81)])
+    def test_margins_stdout_golden(self, capsys, n, k):
+        code, out, _ = run(capsys, "margins", "--n", str(n), "--k", str(k))
+        assert code == 0
+        assert out == (GOLDEN / f"margins_{n}_{k}.txt").read_text()
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,9 +9,12 @@ from cwm.exhaust import (
     exhaust_pair,
     icw_census,
     search,
+    side_margin_solutions,
 )
 from cwm.groupring import GroupRingElement, canonical_form, fold, verify
-from cwm.orbittable import build
+from cwm.margins import fold_consistency_filter, lift_margin_solutions
+from cwm.numbertheory import orbits, prime_power_multiplier
+from cwm.orbittable import build, default_factorization
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +185,99 @@ class TestCensus:
         row = rows[0]
         assert (row.d, row.m, row.multiplier, row.multiplier_order) == (16, 7, 2, 3)
         assert row.classes > 0
+
+
+# Consistent margin sets of the long power-of-two sides, as the enumerate-
+# then-filter path lists them (fold_consistency_filter over every moment
+# solution).  That path takes 4 s, 2 s and 156 s on these three sides
+# (Python 3.11, 2 cores), so the sets are pinned rather than recomputed.
+PINNED_SIDES = {
+    (144, 49, 16): [
+        (0, 0, 0, 0, 0, 0, 7, 0, 0),
+        (3, -2, 1, -1, 0, -1, 4, 2, 1),
+        (3, -1, -2, 1, 0, 2, 4, 1, -1),
+        (3, -1, -1, 2, 0, 1, 4, 1, -2),
+        (3, -1, 2, -1, 0, -2, 4, 1, 1),
+        (3, 1, -2, -1, 0, 2, 4, -1, 1),
+        (3, 1, -1, -2, 0, 1, 4, -1, 2),
+        (3, 1, 2, 1, 0, -2, 4, -1, -1),
+        (3, 2, 1, 1, 0, -1, 4, -2, -1),
+        (4, -2, -1, -1, 0, 1, 3, 2, 1),
+        (4, -1, -2, -1, 0, 2, 3, 1, 1),
+        (4, -1, 1, 2, 0, -1, 3, 1, -2),
+        (4, -1, 2, 1, 0, -2, 3, 1, -1),
+        (4, 1, -2, 1, 0, 2, 3, -1, -1),
+        (4, 1, 1, -2, 0, -1, 3, -1, 2),
+        (4, 1, 2, -1, 0, -2, 3, -1, 1),
+        (4, 2, -1, 1, 0, 1, 3, -2, -1),
+        (7, 0, 0, 0, 0, 0, 0, 0, 0),
+    ],
+    (160, 81, 32): [
+        (-4, 0, -1, 0, 0, 4, 1, 5, 0),
+        (-4, 0, 1, 0, 0, 4, -1, 5, 0),
+        (-3, 0, -1, -2, 0, 4, 1, 4, 2),
+        (-3, 0, -1, 2, 0, 4, 1, 4, -2),
+        (-3, 0, 1, -2, 0, 4, -1, 4, 2),
+        (-3, 0, 1, 2, 0, 4, -1, 4, -2),
+        (-1, 0, -1, -3, 0, 4, 1, 2, 3),
+        (-1, 0, -1, 3, 0, 4, 1, 2, -3),
+        (-1, 0, 1, -3, 0, 4, -1, 2, 3),
+        (-1, 0, 1, 3, 0, 4, -1, 2, -3),
+        (2, 0, -1, -3, 0, 4, 1, -1, 3),
+        (2, 0, -1, 3, 0, 4, 1, -1, -3),
+        (2, 0, 1, -3, 0, 4, -1, -1, 3),
+        (2, 0, 1, 3, 0, 4, -1, -1, -3),
+        (4, 0, -1, -2, 0, 4, 1, -3, 2),
+        (4, 0, -1, 2, 0, 4, 1, -3, -2),
+        (4, 0, 1, -2, 0, 4, -1, -3, 2),
+        (4, 0, 1, 2, 0, 4, -1, -3, -2),
+        (5, 0, -1, 0, 0, 4, 1, -4, 0),
+        (5, 0, 1, 0, 0, 4, -1, -4, 0),
+    ],
+    (160, 49, 32): [
+        (3, 0, -2, 0, 1, -1, 0, 0, 0, -1, 4, 2, 1),
+        (3, 0, -1, 0, -2, 1, 0, 0, 0, 2, 4, 1, -1),
+        (3, 0, -1, 0, -1, 2, 0, 0, 0, 1, 4, 1, -2),
+        (3, 0, -1, 0, 2, -1, 0, 0, 0, -2, 4, 1, 1),
+        (3, 0, 1, 0, -2, -1, 0, 0, 0, 2, 4, -1, 1),
+        (3, 0, 1, 0, -1, -2, 0, 0, 0, 1, 4, -1, 2),
+        (3, 0, 1, 0, 2, 1, 0, 0, 0, -2, 4, -1, -1),
+        (3, 0, 2, 0, 1, 1, 0, 0, 0, -1, 4, -2, -1),
+        (4, 0, -2, 0, -1, -1, 0, 0, 0, 1, 3, 2, 1),
+        (4, 0, -1, 0, -2, -1, 0, 0, 0, 2, 3, 1, 1),
+        (4, 0, -1, 0, 1, 2, 0, 0, 0, -1, 3, 1, -2),
+        (4, 0, -1, 0, 2, 1, 0, 0, 0, -2, 3, 1, -1),
+        (4, 0, 1, 0, -2, 1, 0, 0, 0, 2, 3, -1, -1),
+        (4, 0, 1, 0, 1, -2, 0, 0, 0, -1, 3, -1, 2),
+        (4, 0, 1, 0, 2, -1, 0, 0, 0, -2, 3, -1, 1),
+        (4, 0, 2, 0, -1, 1, 0, 0, 0, 1, 3, -2, -1),
+    ],
+}
+
+
+class TestSideMarginSolutions:
+    @pytest.mark.parametrize("n,k", [(144, 49), (152, 49), (160, 81), (160, 49)])
+    def test_long_sides_match_enumerate_then_filter(self, n, k):
+        s = 9 if k == 81 else 7
+        t = prime_power_multiplier(n, k)
+        d, m = default_factorization(n, k, t)
+        table = build(n, d, m, t)
+        for part, cofactor in ((table.row_orbits, m), (table.col_orbits, d)):
+            lifted = side_margin_solutions(s, k, part, 1, cofactor)
+            expected = PINNED_SIDES.get((n, k, part.modulus))
+            if expected is None:
+                raw = side_margin_solutions(s, k, part, 1, cofactor, fold_consistency=False)
+                expected = [sol.values for sol in fold_consistency_filter(raw, part, k)]
+            assert [sol.values for sol in lifted] == expected
+            assert all(sol.orbit_sizes == part.sizes for sol in lifted)
+
+    def test_self_conjugacy_divisor_applies(self):
+        # 3 is self-conjugate mod 6 and 3^2 | 9, so every b is divisible by 3
+        part = orbits(6, 5)
+        lifted = side_margin_solutions(3, 9, part, 1, 3)
+        raw = side_margin_solutions(3, 9, part, 1, 3, fold_consistency=False)
+        assert [sol.values for sol in lifted] == [
+            sol.values for sol in fold_consistency_filter(raw, part, 9)
+        ]
+        assert [sol.values for sol in lifted] == [(0, 0, 0, 3), (3, 0, 0, 0)]
+        assert len(lift_margin_solutions(3, 9, part, 3)) == 8

@@ -1,11 +1,15 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwm.margins import (
     MarginSolution,
+    count_margin_solutions,
     expand,
     fold_consistency_filter,
+    lift_margin_solutions,
     margin_pairs,
     reduce_by_shifts,
     self_conjugacy_filter,
@@ -25,6 +29,16 @@ def brute_solutions(s, k, sizes, bound):
             continue
         out.append(values)
     return sorted(out)
+
+
+MOMENT_CASES = [
+    (9, 81, (1, 5, 5), 13),
+    (6, 36, (1, 3, 3, 3, 3), 11),
+    (9, 81, (1, 1, 4, 4), 11),
+    (7, 49, (1, 1, 1, 3, 3), 13),
+    (8, 64, (1, 3, 3), 12),
+    (3, 9, (1, 3, 3, 3, 3), 2),
+]
 
 
 class TestSolveMarginSystem:
@@ -58,17 +72,7 @@ class TestSolveMarginSystem:
                 sorted(sol.values) == sorted([s] + [0, 0]) for sol in sols
             )
 
-    @pytest.mark.parametrize(
-        "s,k,sizes,bound",
-        [
-            (9, 81, (1, 5, 5), 13),
-            (6, 36, (1, 3, 3, 3, 3), 11),
-            (9, 81, (1, 1, 4, 4), 11),
-            (7, 49, (1, 1, 1, 3, 3), 13),
-            (8, 64, (1, 3, 3), 12),
-            (3, 9, (1, 3, 3, 3, 3), 2),
-        ],
-    )
+    @pytest.mark.parametrize("s,k,sizes,bound", MOMENT_CASES)
     def test_matches_nested_loop_oracle(self, s, k, sizes, bound):
         sols = solve_margin_system(s, k, sizes, bound)
         assert [sol.values for sol in sols] == brute_solutions(s, k, sizes, bound)
@@ -88,6 +92,132 @@ class TestSolveMarginSystem:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             solve_margin_system(3, 10, (1, 1), 3)
+
+
+class TestCountMarginSolutions:
+    @pytest.mark.parametrize("s,k,sizes,bound", MOMENT_CASES)
+    def test_equals_enumeration(self, s, k, sizes, bound):
+        assert count_margin_solutions(s, k, sizes, bound) == len(
+            solve_margin_system(s, k, sizes, bound)
+        )
+
+    def test_long_side_144_49(self):
+        # the Z_16 fold of (144,49): the enumeration lists 68574 solutions
+        assert count_margin_solutions(7, 49, (1, 2, 2, 2, 2, 2, 1, 2, 2), 9) == 68574
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        s=st.integers(-4, 6),
+        bound=st.integers(0, 4),
+    )
+    def test_equals_enumeration_random(self, sizes, s, bound):
+        assert count_margin_solutions(s, s * s, sizes, bound) == len(
+            solve_margin_system(s, s * s, sizes, bound)
+        )
+
+    def test_bad_k_rejected(self):
+        with pytest.raises(ValueError):
+            count_margin_solutions(3, 10, (1, 1), 3)
+
+
+def orbit_partitions(m):
+    """The distinct partitions of Z_m into orbits of a multiplier."""
+    parts = {}
+    for t in range(1, m):
+        if math.gcd(t, m) == 1:
+            part = orbits(m, t)
+            parts.setdefault(part.orbits, part)
+    return list(parts.values())
+
+
+def lifting_cases():
+    """(partition, bound) pairs for every modulus 2..40 that the moment
+    enumeration can list quickly: every multiplier partition with at most
+    8 orbits at bounds 1 and 2 (and 3 with at most 6 orbits); moduli whose
+    partitions all have more orbits (24, 30, 32, 36, 40) use their
+    partition with the fewest orbits at bound 1."""
+    cases = []
+    for m in range(2, 41):
+        parts = orbit_partitions(m)
+        small = [part for part in parts if len(part) <= 8]
+        for part in small:
+            for bound in (1, 2, 3) if len(part) <= 6 else (1, 2):
+                cases.append((part, bound))
+        if not small:
+            cases.append((min(parts, key=len), 1))
+    return cases
+
+
+def filtered_oracle(s, k, part, bound, divisor):
+    """The old margin path: every moment solution, then divisibility and
+    full fold consistency."""
+    raw = solve_margin_system(s, k, part.sizes, bound)
+    raw = [sol for sol in raw if all(b % divisor == 0 for b in sol.values)]
+    return fold_consistency_filter(raw, part, k)
+
+
+class TestLiftMarginSolutions:
+    def test_matches_filtered_moment_solutions(self):
+        checked = nonempty = 0
+        for part, bound in lifting_cases():
+            for s in range(2, 8):
+                k = s * s
+                if k > bound * bound * part.modulus:
+                    # no vector reaches the square mass; both sides are empty
+                    assert lift_margin_solutions(s, k, part, bound) == []
+                    continue
+                consistent = filtered_oracle(s, k, part, bound, 1)
+                for divisor in (1, 2, 3):
+                    expected = [
+                        sol for sol in consistent if all(b % divisor == 0 for b in sol.values)
+                    ]
+                    lifted = lift_margin_solutions(s, k, part, bound, divisor)
+                    assert lifted == expected, (part.modulus, part.multiplier, s, bound, divisor)
+                    checked += 1
+                    nonempty += bool(expected)
+        assert {part.modulus for part, _ in lifting_cases()} == set(range(2, 41))
+        assert nonempty > 100 and checked > 3000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 24),
+        t=st.integers(1, 23),
+        s=st.integers(-3, 5),
+        bound=st.integers(0, 3),
+        divisor=st.integers(1, 3),
+    )
+    def test_matches_filtered_moment_solutions_random(self, m, t, s, bound, divisor):
+        t %= m
+        if m > 1 and math.gcd(t, m) != 1:
+            t = 1
+        part = orbits(m, t)
+        if len(part) > 8:
+            part = min(orbit_partitions(m), key=len)
+        if len(part) > 8:
+            bound = min(bound, 1)
+        k = s * s
+        assert lift_margin_solutions(s, k, part, bound, divisor) == filtered_oracle(
+            s, k, part, bound, divisor
+        )
+
+    def test_solutions_carry_the_partition_sizes(self):
+        part = orbits(16, 7)
+        sols = lift_margin_solutions(7, 49, part, 9)
+        assert len(sols) == 18
+        assert all(sol.orbit_sizes == part.sizes for sol in sols)
+
+    def test_modulus_one(self):
+        part = orbits(1, 1)
+        assert [sol.values for sol in lift_margin_solutions(3, 9, part, 3)] == [(3,)]
+        assert lift_margin_solutions(3, 9, part, 2) == []
+        assert lift_margin_solutions(3, 9, part, 3, divisor=2) == []
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            lift_margin_solutions(3, 10, orbits(7, 2), 3)
+        with pytest.raises(ValueError):
+            lift_margin_solutions(3, 9, orbits(7, 2), 3, divisor=0)
 
 
 class TestSelfConjugacyFilter:
