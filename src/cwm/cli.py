@@ -19,6 +19,7 @@ from . import constructions
 from . import margins as margins_mod
 from .exhaust import (
     MethodInapplicable,
+    derive_multiplier,
     icw_census,
     search,
     side_margin_solutions,
@@ -30,11 +31,7 @@ from .groupring import (
     witness_format,
     witness_parse,
 )
-from .numbertheory import (
-    mcfarland_multiplier,
-    orbits,
-    prime_power_multiplier,
-)
+from .numbertheory import orbits
 from .orbittable import build, default_factorization, render
 
 EXIT_OK = 0
@@ -42,18 +39,6 @@ EXIT_NONE = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_BUDGET = 4
-
-
-def _derive_multiplier(n: int, k: int, given):
-    if given is not None:
-        print(f"using supplied multiplier {given} (soundness rests on the caller)")
-        return given
-    t = prime_power_multiplier(n, k)
-    if t is None and math.gcd(n, k) == 1:
-        t = mcfarland_multiplier(n, k)
-    if t is None:
-        raise MethodInapplicable(f"no multiplier derivable for n={n}, k={k}")
-    return t
 
 
 def _pick_factorization(n, k, t, args):
@@ -66,9 +51,7 @@ def cmd_orbits(args) -> int:
     if args.multiplier is None and args.k is None:
         print("orbits needs --multiplier or --k", file=sys.stderr)
         return EXIT_USAGE
-    t = args.multiplier if args.multiplier is not None else _derive_multiplier(
-        args.n, args.k, None
-    )
+    t = args.multiplier if args.multiplier is not None else derive_multiplier(args.n, args.k)
     fact = _pick_factorization(args.n, args.k or 0, t, args)
     if fact is None:
         part = orbits(args.n, t)
@@ -88,19 +71,20 @@ def cmd_margins(args) -> int:
     if s * s != args.k:
         print(f"k = {args.k} is not a perfect square", file=sys.stderr)
         return EXIT_USAGE
-    t = _derive_multiplier(args.n, args.k, args.multiplier)
-    fact = _pick_factorization(args.n, args.k, t, args)
-    if fact is None:
-        part = orbits(args.n, t)
-        sides = [(args.n, part, args.coeff_bound)]
+    t = args.multiplier
+    if t is None:
+        t = derive_multiplier(args.n, args.k)
     else:
-        d, m = fact
-        table = build(args.n, d, m, t)
-        sides = [
-            (d, table.row_orbits, args.coeff_bound * m),
-            (m, table.col_orbits, args.coeff_bound * d),
-        ]
+        print(f"using supplied multiplier {t} (soundness rests on the caller)")
+    d, m = _pick_factorization(args.n, args.k, t, args) or (1, args.n)
+    table = build(args.n, d, m, t)
+    sides = [
+        (d, table.row_orbits, args.coeff_bound * m),
+        (m, table.col_orbits, args.coeff_bound * d),
+    ]
     for modulus, part, bound in sides:
+        if modulus == 1:
+            continue
         raw = margins_mod.count_margin_solutions(s, args.k, part.sizes, bound)
         print(f"fold onto Z_{modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
         print(f"  {raw} solutions of the two moment equations")
@@ -112,20 +96,15 @@ def cmd_margins(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        t = args.multiplier
-        outcome = search(
-            args.n,
-            args.k,
-            multiplier=t,
-            coeff_bound=args.coeff_bound,
-            mode=args.mode,
-            node_budget=args.node_budget,
-            jobs=args.jobs,
-        )
-    except MethodInapplicable as exc:
-        print(f"method inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    outcome = search(
+        args.n,
+        args.k,
+        multiplier=args.multiplier,
+        coeff_bound=args.coeff_bound,
+        mode=args.mode,
+        node_budget=args.node_budget,
+        jobs=args.jobs,
+    )
     kind = f"CW({args.n},{args.k})" if args.coeff_bound == 1 else (
         f"ICW_{args.coeff_bound}({args.n},{args.k})"
     )
@@ -182,21 +161,27 @@ def cmd_fold(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.what == "kronecker":
-        a, ka, _ = witness_parse(Path(args.inputs[0]).read_text())
-        b, kb, _ = witness_parse(Path(args.inputs[1]).read_text())
-        out = constructions.kronecker(a, b)
-        k = ka * kb
-    elif args.what == "cw14m":
+    if args.what == "cw14m":
+        if args.m is None:
+            print("construct cw14m needs --m", file=sys.stderr)
+            return EXIT_USAGE
         out = constructions.cw14m_family(args.m)
         k = 16
-    elif args.what == "type2":
-        b, kb, _ = witness_parse(Path(args.inputs[0]).read_text())
-        c, kc, _ = witness_parse(Path(args.inputs[1]).read_text())
-        out = constructions.type_ii(b, c)
-        k = 4 * kb
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+    else:
+        if len(args.inputs) < 2:
+            print(f"construct {args.what} needs two witness files", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            (a, ka, _), (b, kb, _) = (
+                witness_parse(Path(path).read_text()) for path in args.inputs[:2]
+            )
+        except OSError as exc:
+            print(f"cannot read witness: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.what == "kronecker":
+            out, k = constructions.kronecker(a, b), ka * kb
+        else:
+            out, k = constructions.type_ii(a, b), 4 * ka
     print(f"constructed CW({out.order},{k}): {out}")
     if args.out:
         Path(args.out).write_text(witness_format(out, k, 1))
@@ -234,6 +219,9 @@ def cmd_catalog(args) -> int:
         print(cat.render_table(args.nmax, args.kmax), end="")
         return EXIT_OK
     if args.action == "import":
+        if args.path is None:
+            print("catalog import needs a path", file=sys.stderr)
+            return EXIT_USAGE
         added = cat.import_dir(args.path)
         cat.save()
         print(f"imported {len(added)} witnesses")

@@ -24,7 +24,6 @@ from .numbertheory import (
     is_self_conjugate,
     mcfarland_multiplier,
     multiplicative_order,
-    orbits,
     prime_power_multiplier,
 )
 from .orbittable import OrbitTable, build, default_factorization
@@ -61,22 +60,22 @@ class SearchOutcome:
     leaves_tested: int
     exhaustive: bool
 
-    def merged_with(self, other: "SearchOutcome") -> "SearchOutcome":
-        combined = {sol.coeffs: sol for sol in self.solutions}
-        for sol in other.solutions:
-            combined.setdefault(sol.coeffs, sol)
-        sols = tuple(combined[key] for key in sorted(combined))
+    @staticmethod
+    def merge(parts: Sequence["SearchOutcome"]) -> "SearchOutcome":
+        """One outcome for a whole search: the union of the parts' classes,
+        sorted once, and the sums of their counters."""
+        found: dict[tuple[int, ...], GroupRingElement] = {}
+        for part in parts:
+            for sol in part.solutions:
+                found.setdefault(sol.coeffs, sol)
         return SearchOutcome(
-            solutions=sols,
-            classes=len(combined),
-            solutions_found=self.solutions_found + other.solutions_found,
-            nodes_visited=self.nodes_visited + other.nodes_visited,
-            leaves_tested=self.leaves_tested + other.leaves_tested,
-            exhaustive=self.exhaustive and other.exhaustive,
+            solutions=tuple(found[key] for key in sorted(found)),
+            classes=len(found),
+            solutions_found=sum(part.solutions_found for part in parts),
+            nodes_visited=sum(part.nodes_visited for part in parts),
+            leaves_tested=sum(part.leaves_tested for part in parts),
+            exhaustive=all(part.exhaustive for part in parts),
         )
-
-
-_EMPTY = SearchOutcome((), 0, 0, 0, 0, True)
 
 
 def _multiplicity_order(bound: int) -> tuple[int, ...]:
@@ -148,12 +147,7 @@ def exhaust_pair(
         if idx == nplan:
             # suffix masses force all residuals to zero and sq == k here
             leaves += 1
-            coeffs = [0] * table.n
-            for oid, mult in enumerate(assign):
-                if mult:
-                    for x in table.partition.orbits[oid][1]:
-                        coeffs[x] = mult
-            candidate = GroupRingElement(table.n, tuple(coeffs))
+            candidate = GroupRingElement(table.n, table.partition.expand(assign))
             if verify(candidate, k, bound):
                 verified_count += 1
                 canon = canonical_form(candidate)
@@ -205,34 +199,36 @@ def _sc_exponents(k: int) -> list[tuple[int, int]]:
 
 
 def side_margin_solutions(
-    s: int,
-    k: int,
-    partition,
-    coeff_bound: int,
-    cofactor: int,
-    fold_consistency: bool = True,
+    s: int, k: int, partition, coeff_bound: int, cofactor: int
 ) -> list[margins_mod.MarginSolution]:
-    """Margin solutions for one fold, after every sound filter.
-
-    With fold_consistency the solutions are lifted through the quotients
-    of the fold; without it every moment solution that passes the
-    self-conjugacy filter is listed."""
-    bound = coeff_bound * cofactor
-    exponents = [
-        (p, a) for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
-    ]
-    if fold_consistency:
-        divisor = math.prod(p**a for p, a in exponents)
-        return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
-    sols = margins_mod.solve_margin_system(s, k, partition.sizes, bound)
-    for p, a in exponents:
-        sols = margins_mod.self_conjugacy_filter(sols, p, partition.modulus, a)
-    return sols
+    """Margin solutions for one fold, after every sound filter: the
+    solutions of the fold equation lifted through the quotients of the
+    fold, each b divisible by the self-conjugacy divisor."""
+    divisor = math.prod(
+        p**a for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
+    )
+    return margins_mod.lift_margin_solutions(
+        s, k, partition, coeff_bound * cofactor, divisor
+    )
 
 
 def _pair_task(args):
     config, r, c = args
     return exhaust_pair(config, r, c)
+
+
+def derive_multiplier(n: int, k: int) -> int:
+    """The multiplier a search of CW(n, k) uses: the prime-power rule,
+    else the composite-weight rule when gcd(n, k) = 1.  Raises
+    MethodInapplicable when neither gives one."""
+    t = prime_power_multiplier(n, k)
+    if t is None and math.gcd(n, k) == 1:
+        t = mcfarland_multiplier(n, k)
+    if t is None:
+        raise MethodInapplicable(
+            f"no multiplier derivable for n={n}, k={k}; supply one explicitly"
+        )
+    return t
 
 
 def search(
@@ -243,71 +239,46 @@ def search(
     mode: str = "all",
     node_budget: Optional[int] = None,
     jobs: int = 1,
-    factorization: Optional[tuple[int, int]] = None,
-    symmetry_reduction: bool = True,
-    fold_consistency: bool = True,
 ) -> SearchOutcome:
     """Full driver: derive the multiplier, pick a factorization, solve and
     filter the margin systems, and run the exhaust over every margin pair.
 
-    Finds every solution class fixed by the multiplier group, which is
-    complete up to equivalence because some translate of any solution is
-    fixed.  Raises MethodInapplicable when no multiplier is available.
+    Orders with no coprime split run as a 1 x n table, whose columns are
+    the orbits of Z_n itself.  Finds every solution class fixed by the
+    multiplier group, which is complete up to equivalence because some
+    translate of any solution is fixed.  Raises MethodInapplicable when
+    no multiplier is available.
     """
     s = math.isqrt(k)
     if s * s != k:
         raise ValueError(f"k = {k} is not a perfect square")
     if multiplier is None:
-        multiplier = prime_power_multiplier(n, k)
-        if multiplier is None and math.gcd(n, k) == 1:
-            multiplier = mcfarland_multiplier(n, k)
-        if multiplier is None:
-            raise MethodInapplicable(
-                f"no multiplier derivable for n={n}, k={k}; supply one explicitly"
-            )
+        multiplier = derive_multiplier(n, k)
     if math.gcd(multiplier, n) != 1:
         raise ValueError(f"multiplier {multiplier} is not coprime to {n}")
 
-    if factorization is None:
-        factorization = default_factorization(n, k, multiplier)
-    if factorization is None:
-        return _search_single_group(n, k, s, multiplier, coeff_bound, mode)
-
-    d, m = factorization
+    d, m = default_factorization(n, k, multiplier) or (1, n)
     table = build(n, d, m, multiplier)
-    row_sols = side_margin_solutions(
-        s, k, table.row_orbits, coeff_bound, m, fold_consistency=fold_consistency
-    )
-    col_sols = side_margin_solutions(
-        s, k, table.col_orbits, coeff_bound, d, fold_consistency=fold_consistency
-    )
-    pairs = margins_mod.margin_pairs(
-        row_sols,
-        col_sols,
-        table.row_orbits,
-        table.col_orbits,
-        symmetry_reduction=symmetry_reduction,
-    )
-    config = SearchConfig(
-        table=table, k=k, s=s, coeff_bound=coeff_bound, mode=mode, node_budget=None
-    )
+    config = SearchConfig(table=table, k=k, s=s, coeff_bound=coeff_bound, mode=mode)
+    row_sols = side_margin_solutions(s, k, table.row_orbits, coeff_bound, m)
+    col_sols = side_margin_solutions(s, k, table.col_orbits, coeff_bound, d)
+    pairs = margins_mod.margin_pairs(row_sols, col_sols, table.row_orbits, table.col_orbits)
     budgets = _split_budget(node_budget, len(pairs))
 
-    outcome = _EMPTY
     if jobs > 1 and mode != "first" and len(pairs) > 1:
         tasks = [
             (replace(config, node_budget=b), r, c)
             for (r, c), b in zip(pairs, budgets)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_pair_task, tasks):
-                outcome = outcome.merged_with(part)
+            parts = list(pool.map(_pair_task, tasks))
     else:
+        parts = []
         for (r, c), b in zip(pairs, budgets):
-            part = exhaust_pair(replace(config, node_budget=b), r, c)
-            outcome = outcome.merged_with(part)
-            if mode == "first" and outcome.classes:
+            parts.append(exhaust_pair(replace(config, node_budget=b), r, c))
+            if mode == "first" and parts[-1].classes:
                 break
+    outcome = SearchOutcome.merge(parts)
     if mode == "count":
         outcome = replace(outcome, solutions=())
     return outcome
@@ -318,45 +289,6 @@ def _split_budget(total: Optional[int], parts: int) -> list[Optional[int]]:
         return [None] * parts
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
-def _search_single_group(
-    n: int, k: int, s: int, multiplier: int, coeff_bound: int, mode: str
-) -> SearchOutcome:
-    """Fallback when n has no coprime factorization (prime or prime power):
-    the two moment identities over the full orbit set already pin every
-    candidate assignment, so solve them and verify each candidate."""
-    part = orbits(n, multiplier)
-    sols = margins_mod.solve_margin_system(s, k, part.sizes, coeff_bound)
-    for p, a in _sc_exponents(k):
-        if is_self_conjugate(p, n):
-            sols = margins_mod.self_conjugacy_filter(sols, p, n, a)
-    found: dict[tuple[int, ...], GroupRingElement] = {}
-    leaves = 0
-    verified_count = 0
-    for sol in sols:
-        coeffs = [0] * n
-        for (_, members), mult in zip(part.orbits, sol.values):
-            if mult:
-                for x in members:
-                    coeffs[x] = mult
-        candidate = GroupRingElement(n, tuple(coeffs))
-        leaves += 1
-        if verify(candidate, k, coeff_bound):
-            verified_count += 1
-            canon = canonical_form(candidate)
-            found.setdefault(canon.coeffs, canon)
-            if mode == "first":
-                break
-    sols_out = tuple(found[key] for key in sorted(found))
-    return SearchOutcome(
-        solutions=sols_out if mode != "count" else (),
-        classes=len(found),
-        solutions_found=verified_count,
-        nodes_visited=leaves,
-        leaves_tested=leaves,
-        exhaustive=True,
-    )
 
 
 # Open parameter cases where a contracted integer matrix search applies:

@@ -224,15 +224,6 @@ def self_conjugacy_filter(
     return [sol for sol in solutions if all(b % q == 0 for b in sol.values)]
 
 
-def expand(solution: MarginSolution, partition: OrbitPartition) -> tuple[int, ...]:
-    """Element-wise vector over Z_modulus with b_i on each orbit member."""
-    vec = [0] * partition.modulus
-    for (_, members), b in zip(partition.orbits, solution.values):
-        for x in members:
-            vec[x] = b
-    return tuple(vec)
-
-
 def fold_consistency_filter(
     solutions: Iterable[MarginSolution], partition: OrbitPartition, k: int
 ) -> list[MarginSolution]:
@@ -245,7 +236,7 @@ def fold_consistency_filter(
     mod = partition.modulus
     out = []
     for sol in solutions:
-        vec = expand(sol, partition)
+        vec = partition.expand(sol.values)
         ok = sum(v * v for v in vec) == k
         if ok:
             for shift in range(1, mod):
@@ -300,28 +291,14 @@ def reduce_by_shifts(
 def margin_pairs(
     row_solutions: Iterable[MarginSolution],
     col_solutions: Iterable[MarginSolution],
-    row_partition: OrbitPartition = None,
-    col_partition: OrbitPartition = None,
-    symmetry_reduction: bool = True,
+    row_partition: OrbitPartition,
+    col_partition: OrbitPartition,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Cartesian pairs of scaled row/column margin vectors.
-
-    With symmetry_reduction (requires the partitions), pairs are
-    deduplicated under independent row/column translation actions,
-    keeping the lexicographically greatest (r, c).
-    """
-    rows = [sol.scaled for sol in row_solutions]
-    cols = [sol.scaled for sol in col_solutions]
-    if not symmetry_reduction:
-        return [(r, c) for r in rows for c in cols]
-    if row_partition is None or col_partition is None:
-        raise ValueError("symmetry reduction needs both orbit partitions")
+    """Pairs of scaled row/column margin vectors, one per class under
+    independent row/column translation actions: the lexicographically
+    greatest (r, c) of each class, in sorted order."""
     rperms = shift_orbit_permutations(row_partition)
     cperms = shift_orbit_permutations(col_partition)
-    seen = {}
-    for r in rows:
-        rkey = _canonical_scaled(r, rperms)
-        for c in cols:
-            ckey = _canonical_scaled(c, cperms)
-            seen[(rkey, ckey)] = None
-    return sorted(seen)
+    rkeys = {_canonical_scaled(sol.scaled, rperms) for sol in row_solutions}
+    ckeys = {_canonical_scaled(sol.scaled, cperms) for sol in col_solutions}
+    return sorted((r, c) for r in rkeys for c in ckeys)

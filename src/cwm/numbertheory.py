@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,15 @@ class OrbitPartition:
 
     def members(self, oid: int) -> tuple[int, ...]:
         return self.orbits[oid][1]
+
+    def expand(self, values: Sequence[int]) -> tuple[int, ...]:
+        """Vector over Z_modulus carrying values[i] on every member of orbit i."""
+        vec = [0] * self.modulus
+        for (_, members), b in zip(self.orbits, values):
+            if b:
+                for x in members:
+                    vec[x] = b
+        return tuple(vec)
 
     def __len__(self):
         return len(self.orbits)

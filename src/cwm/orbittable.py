@@ -4,7 +4,9 @@ Each Z_n-orbit under the multiplier lands in exactly one box B_ij,
 indexed by the Z_d-orbit of its image under reduction mod d (row) and
 the Z_m-orbit of its image mod m (column).  Row and column margins of
 an orbit assignment are the signed orbit-size sums per line; they are
-the orbit-size-scaled intersection numbers of the two folds.
+the orbit-size-scaled intersection numbers of the two folds.  With
+d = 1 the table has one row and one column per orbit of Z_n; the search
+uses it for orders with no coprime split.
 """
 
 from __future__ import annotations
@@ -70,18 +72,25 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     return OrbitTable(n, d, m, t, part, rows, cols, boxes, tuple(orbit_row), tuple(orbit_col))
 
 
+def _orbit_values(table: OrbitTable, assignment: Mapping[int, int]) -> list[int]:
+    """The assignment's multiplicity on each Z_n orbit, by orbit id."""
+    values = [0] * len(table.partition)
+    for rep, mult in assignment.items():
+        if not mult:
+            continue
+        oid = table.partition.orbit_of(rep)
+        if table.orbit_rep(oid) != rep % table.n:
+            raise ValueError(f"{rep} is not an orbit representative mod {table.n}")
+        values[oid] = mult
+    return values
+
+
 def margin_of(table: OrbitTable, assignment: Mapping[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row and column sums of an assignment mapping orbit representatives
     to signed multiplicities (absent orbits count as 0)."""
     r = [0] * table.num_rows
     c = [0] * table.num_cols
-    rep_to_oid = {rep: oid for oid, (rep, _) in enumerate(table.partition.orbits)}
-    for rep, mult in assignment.items():
-        if not mult:
-            continue
-        oid = rep_to_oid.get(rep % table.n)
-        if oid is None or table.orbit_rep(oid) != rep % table.n:
-            raise ValueError(f"{rep} is not an orbit representative mod {table.n}")
+    for oid, mult in enumerate(_orbit_values(table, assignment)):
         size = table.orbit_size(oid)
         r[table.orbit_row[oid]] += mult * size
         c[table.orbit_col[oid]] += mult * size
@@ -90,17 +99,7 @@ def margin_of(table: OrbitTable, assignment: Mapping[int, int]) -> tuple[tuple[i
 
 def reconstruct(table: OrbitTable, assignment: Mapping[int, int]) -> GroupRingElement:
     """Group ring element with the given multiplicity on each orbit."""
-    coeffs = [0] * table.n
-    rep_to_oid = {rep: oid for oid, (rep, _) in enumerate(table.partition.orbits)}
-    for rep, mult in assignment.items():
-        if not mult:
-            continue
-        oid = rep_to_oid.get(rep % table.n)
-        if oid is None:
-            raise ValueError(f"{rep} is not an orbit representative mod {table.n}")
-        for x in table.partition.orbits[oid][1]:
-            coeffs[x] = mult
-    return GroupRingElement(table.n, tuple(coeffs))
+    return GroupRingElement(table.n, table.partition.expand(_orbit_values(table, assignment)))
 
 
 def default_factorization(n: int, k: int, t: int) -> Optional[tuple[int, int]]:

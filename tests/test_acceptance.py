@@ -28,7 +28,6 @@ from cwm.groupring import (
     verify,
 )
 from cwm.margins import (
-    expand,
     fold_consistency_filter,
     lift_margin_solutions,
     margin_pairs,
@@ -262,9 +261,9 @@ class TestCriterion4:
                 "consistent": len(oracle),
                 "consistent+reduced": _translation_orbit_count(oracle, side, shifts),
             }
-            if {expand(sol, part) for sol in consistent} != oracle:
+            if {part.expand(sol.values) for sol in consistent} != oracle:
                 problems.append(f"Z_{side} consistent set differs from the lifting oracle")
-            if {expand(sol, part) for sol in lift_margin_solutions(7, 49, part, bound)} != oracle:
+            if {part.expand(sol.values) for sol in lift_margin_solutions(7, 49, part, bound)} != oracle:
                 problems.append(f"Z_{side} library lifted set differs from the lifting oracle")
             if counts[side] != expected:
                 problems.append(f"Z_{side} counts {counts[side]} != oracle {expected}")

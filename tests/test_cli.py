@@ -73,6 +73,11 @@ class TestSearch:
         _, out2, _ = run(capsys, "search", "--n", "63", "--k", "16")
         assert out1 == out2
 
+    def test_bad_coeff_bound_without_split_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "7", "--k", "4", "--coeff-bound", "0")
+        assert code == 2
+        assert out == "" and "coeff_bound" in err
+
     def test_stats_line_gated(self, capsys):
         _, plain, _ = run(capsys, "search", "--n", "7", "--k", "4")
         _, stats, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
@@ -101,6 +106,19 @@ class TestOrbitsAndMargins:
         code, out, _ = run(capsys, "margins", "--n", str(n), "--k", str(k))
         assert code == 0
         assert out == (GOLDEN / f"margins_{n}_{k}.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("--n", "31", "--k", "25"), "margins_31_25.txt"),
+            (("--n", "49", "--k", "64", "-t", "2", "--coeff-bound", "4"), "margins_49_64_t2_b4.txt"),
+        ],
+        ids=["31-25", "49-64-t2-b4"],
+    )
+    def test_margins_stdout_golden_without_split(self, capsys, argv, name):
+        code, out, _ = run(capsys, "margins", *argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +165,26 @@ class TestConstruct:
         assert "overlap" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cw14m",),
+            ("kronecker",),
+            ("kronecker", "cw7_4.cw"),
+            ("type2", "cw7_4.cw"),
+            ("kronecker", "cw7_4.cw", "no/such/file.cw"),
+            ("type2", "no/such/file.cw", "cw7_4.cw"),
+        ],
+        ids=["cw14m-no-m", "kronecker-none", "kronecker-one", "type2-one",
+             "kronecker-missing", "type2-missing"],
+    )
+    def test_bad_inputs_exit_2(self, capsys, argv):
+        argv = [witness_path(a) if a == "cw7_4.cw" else a for a in argv]
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+
+
 class TestCatalog:
     def test_seed_status_table(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
@@ -172,6 +210,13 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "close")
         assert code == 0
         assert "(91,36)" in out
+
+
+    def test_import_without_path_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
+        code, out, err = run(capsys, "catalog", "import")
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
 
 
 class TestSeedDemo:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,15 +7,54 @@ from cwm.exhaust import (
     MethodInapplicable,
     SearchConfig,
     contraction_parameters,
+    derive_multiplier,
     exhaust_pair,
     icw_census,
     search,
     side_margin_solutions,
 )
 from cwm.groupring import GroupRingElement, canonical_form, fold, verify
-from cwm.margins import fold_consistency_filter, lift_margin_solutions
-from cwm.numbertheory import orbits, prime_power_multiplier
+from cwm.margins import (
+    fold_consistency_filter,
+    lift_margin_solutions,
+    margin_pairs,
+    self_conjugacy_filter,
+    solve_margin_system,
+)
+from cwm.numbertheory import factorize, is_self_conjugate, orbits, prime_power_multiplier
 from cwm.orbittable import build, default_factorization
+
+
+def enumerated_side(s, k, part, coeff_bound, cofactor):
+    """Every moment solution of one fold that the self-conjugacy filter
+    keeps: the margin set of side_margin_solutions before fold consistency."""
+    sols = solve_margin_system(s, k, part.sizes, coeff_bound * cofactor)
+    for p, e in factorize(k).items():
+        if e >= 2 and is_self_conjugate(p, part.modulus):
+            sols = self_conjugacy_filter(sols, p, part.modulus, e // 2)
+    return sols
+
+
+def reference_classes(n, k, fold_consistency, symmetry_reduction):
+    """Class set of search(n, k) rebuilt with pruning layers turned off:
+    enumerated margins in place of lifted ones, and every (row, column)
+    pair in place of one per translation class, each through exhaust_pair."""
+    s = math.isqrt(k)
+    t = derive_multiplier(n, k)
+    d, m = default_factorization(n, k, t)
+    table = build(n, d, m, t)
+    side = side_margin_solutions if fold_consistency else enumerated_side
+    rows = side(s, k, table.row_orbits, 1, m)
+    cols = side(s, k, table.col_orbits, 1, d)
+    if symmetry_reduction:
+        pairs = margin_pairs(rows, cols, table.row_orbits, table.col_orbits)
+    else:
+        pairs = [(r.scaled, c.scaled) for r in rows for c in cols]
+    config = SearchConfig(table=table, k=k, s=s)
+    classes = set()
+    for r, c in pairs:
+        classes |= {sol.coeffs for sol in exhaust_pair(config, r, c).solutions}
+    return classes
 
 
 @pytest.fixture(scope="module")
@@ -112,20 +152,20 @@ class TestSearch:
         assert not out.exhaustive
 
     def test_pruning_layers_do_not_change_results(self):
-        base = search(63, 16)
-        for kwargs in (
-            {"fold_consistency": False},
-            {"symmetry_reduction": False},
-            {"fold_consistency": False, "symmetry_reduction": False},
-        ):
-            other = search(63, 16, **kwargs)
-            assert {s.coeffs for s in other.solutions} == {
-                s.coeffs for s in base.solutions
-            }
+        base = {s.coeffs for s in search(63, 16).solutions}
+        for fold_consistency, symmetry_reduction in itertools.product((True, False), repeat=2):
+            assert reference_classes(63, 16, fold_consistency, symmetry_reduction) == base
 
     def test_nonexistence_110_with_and_without_pruning(self):
         assert search(110, 81).classes == 0
-        assert search(110, 81, fold_consistency=False, symmetry_reduction=False).classes == 0
+        assert reference_classes(110, 81, False, False) == set()
+
+    def test_coeff_bound_checked_on_order_without_split(self):
+        with pytest.raises(ValueError):
+            search(7, 4, coeff_bound=0)
+
+    def test_budget_honoured_on_order_without_split(self):
+        assert search(31, 25, node_budget=1).exhaustive is False
 
 
 class TestCompletenessOracles:
@@ -157,6 +197,27 @@ class TestCompletenessOracles:
         out = search(13, 9)
         assert {s.coeffs for s in out.solutions} == brute
         assert out.classes == 2
+
+    # the multiplier rules apply to these prime-power weights exactly
+    # when gcd(n, k) = 1
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for k, top in ((4, 30), (9, 13)) for n in range(1, top + 1) if math.gcd(n, k) == 1],
+    )
+    def test_class_set_matches_brute_force(self, n, k):
+        # every class has a member with +1 at 0: translate a support point
+        # to 0, then negate if needed
+        brute = set()
+        for rest in itertools.combinations(range(1, n), k - 1):
+            for signs in itertools.product((1, -1), repeat=k - 1):
+                coeffs = [0] * n
+                coeffs[0] = 1
+                for x, sign in zip(rest, signs):
+                    coeffs[x] = sign
+                a = GroupRingElement(n, tuple(coeffs))
+                if verify(a, k, 1):
+                    brute.add(canonical_form(a).coeffs)
+        assert {s.coeffs for s in search(n, k).solutions} == brute
 
     def test_margins_of_found_solutions_satisfy_folds(self):
         out = search(63, 16)
@@ -266,7 +327,7 @@ class TestSideMarginSolutions:
             lifted = side_margin_solutions(s, k, part, 1, cofactor)
             expected = PINNED_SIDES.get((n, k, part.modulus))
             if expected is None:
-                raw = side_margin_solutions(s, k, part, 1, cofactor, fold_consistency=False)
+                raw = enumerated_side(s, k, part, 1, cofactor)
                 expected = [sol.values for sol in fold_consistency_filter(raw, part, k)]
             assert [sol.values for sol in lifted] == expected
             assert all(sol.orbit_sizes == part.sizes for sol in lifted)
@@ -275,7 +336,7 @@ class TestSideMarginSolutions:
         # 3 is self-conjugate mod 6 and 3^2 | 9, so every b is divisible by 3
         part = orbits(6, 5)
         lifted = side_margin_solutions(3, 9, part, 1, 3)
-        raw = side_margin_solutions(3, 9, part, 1, 3, fold_consistency=False)
+        raw = enumerated_side(3, 9, part, 1, 3)
         assert [sol.values for sol in lifted] == [
             sol.values for sol in fold_consistency_filter(raw, part, 9)
         ]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cwm.margins import (
     MarginSolution,
     count_margin_solutions,
-    expand,
     fold_consistency_filter,
     lift_margin_solutions,
     margin_pairs,
@@ -20,11 +19,15 @@ from cwm.numbertheory import orbits
 
 
 def brute_solutions(s, k, sizes, bound):
+    # every coordinate but the last is enumerated; the linear equation
+    # then fixes the last one
     out = []
-    ranges = [range(-bound, bound + 1)] * len(sizes)
-    for values in itertools.product(*ranges):
-        if sum(b * z for b, z in zip(values, sizes)) != s:
+    ranges = [range(-bound, bound + 1)] * (len(sizes) - 1)
+    for head in itertools.product(*ranges):
+        last, rem = divmod(s - sum(b * z for b, z in zip(head, sizes)), sizes[-1])
+        if rem or abs(last) > bound:
             continue
+        values = head + (last,)
         if sum(b * b * z for b, z in zip(values, sizes)) != k:
             continue
         out.append(values)
@@ -263,14 +266,14 @@ class TestFoldConsistency:
         # the full product equation
         assert len(kept) < len(sols)
         for sol in kept:
-            vec = expand(sol, part)
+            vec = part.expand(sol.values)
             for shift in range(1, 13):
                 assert sum(vec[i] * vec[(i + shift) % 13] for i in range(13)) == 0
 
     def test_expand_is_orbit_constant(self):
         part = orbits(9, 7)
         sol = MarginSolution(part.sizes, (1, 2, -1, 0, 3))
-        vec = expand(sol, part)
+        vec = part.expand(sol.values)
         for oid, (_, members) in enumerate(part.orbits):
             assert {vec[x] for x in members} == {sol.values[oid]}
 
@@ -302,14 +305,18 @@ class TestShiftReduction:
 
 class TestMarginPairs:
     def test_cartesian_without_reduction(self):
-        rows = solve_margin_system(3, 9, (1, 1, 1), 3)
-        cols = solve_margin_system(3, 9, (1, 2), 3)
-        pairs = margin_pairs(rows, cols, symmetry_reduction=False)
-        assert len(pairs) == len(rows) * len(cols)
+        # only the zero translation commutes with 4 on Z_5 and 2 on Z_3,
+        # so no two pairs are merged
+        rows_part, cols_part = orbits(5, 4), orbits(3, 2)
+        rows = solve_margin_system(3, 9, rows_part.sizes, 3)
+        cols = solve_margin_system(3, 9, cols_part.sizes, 3)
+        pairs = margin_pairs(rows, cols, rows_part, cols_part)
+        assert len(pairs) == len(rows) * len(cols) == 6
+        assert pairs == sorted((r.scaled, c.scaled) for r in rows for c in cols)
 
     def test_empty_rows_give_empty_output(self):
         cols = solve_margin_system(3, 9, (1, 2), 3)
-        assert margin_pairs([], cols, symmetry_reduction=False) == []
+        assert margin_pairs([], cols, orbits(5, 4), orbits(3, 2)) == []
 
     def test_63_16_pair_present(self):
         rows_part = orbits(9, 2)
@@ -326,7 +333,7 @@ class TestMarginPairs:
             solve_margin_system(9, 81, rows_part.sizes, 11), 3, 10, 2
         )
         cols = solve_margin_system(9, 81, cols_part.sizes, 10)
-        full = margin_pairs(rows, cols, rows_part, cols_part, symmetry_reduction=False)
+        full = [(r.scaled, c.scaled) for r in rows for c in cols]
         reduced = margin_pairs(rows, cols, rows_part, cols_part)
         # the two row survivors are shifts of one another; columns have no
         # nontrivial shifts, so the pair count exactly halves
