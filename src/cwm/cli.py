@@ -8,7 +8,6 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -17,13 +16,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import constructions
 from . import margins as margins_mod
-from .exhaust import (
-    MethodInapplicable,
-    derive_multiplier,
-    icw_census,
-    search,
-    side_margin_solutions,
-)
+from .exhaust import MethodInapplicable, derive_multiplier, icw_census, plan, search
 from .groupring import (
     WitnessFormatError,
     fold,
@@ -41,10 +34,18 @@ EXIT_INAPPLICABLE = 3
 EXIT_BUDGET = 4
 
 
-def _pick_factorization(n, k, t, args):
-    if args.d and args.m:
-        return args.d, args.m
-    return default_factorization(n, k, t)
+def _factorization(args):
+    """The split n = d * m given by --d and --m, or None for the default."""
+    if (args.d is None) != (args.m is None):
+        raise ValueError("--d and --m must be given together")
+    return None if args.d is None else (args.d, args.m)
+
+
+def _read_witness(path: str):
+    try:
+        return witness_parse(Path(path).read_text())
+    except (OSError, WitnessFormatError) as exc:
+        raise WitnessFormatError(f"cannot read witness: {exc}") from exc
 
 
 def cmd_orbits(args) -> int:
@@ -52,7 +53,7 @@ def cmd_orbits(args) -> int:
         print("orbits needs --multiplier or --k", file=sys.stderr)
         return EXIT_USAGE
     t = args.multiplier if args.multiplier is not None else derive_multiplier(args.n, args.k)
-    fact = _pick_factorization(args.n, args.k or 0, t, args)
+    fact = _factorization(args) or default_factorization(args.n, args.k or 0, t)
     if fact is None:
         part = orbits(args.n, t)
         print(f"orbits of Z_{args.n} under x -> {t}x (no coprime split):")
@@ -67,28 +68,17 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_margins(args) -> int:
-    s = math.isqrt(args.k)
-    if s * s != args.k:
-        print(f"k = {args.k} is not a perfect square", file=sys.stderr)
-        return EXIT_USAGE
-    t = args.multiplier
-    if t is None:
-        t = derive_multiplier(args.n, args.k)
-    else:
-        print(f"using supplied multiplier {t} (soundness rests on the caller)")
-    d, m = _pick_factorization(args.n, args.k, t, args) or (1, args.n)
-    table = build(args.n, d, m, t)
-    sides = [
-        (d, table.row_orbits, args.coeff_bound * m),
-        (m, table.col_orbits, args.coeff_bound * d),
-    ]
-    for modulus, part, bound in sides:
+    config = plan(args.n, args.k, args.multiplier, args.coeff_bound, _factorization(args))
+    if args.multiplier is not None:
+        print(f"using supplied multiplier {args.multiplier} (soundness rests on the caller)")
+    s, k = config.s, config.k
+    for modulus, part, bound in config.folds:
         if modulus == 1:
             continue
-        raw = margins_mod.count_margin_solutions(s, args.k, part.sizes, bound)
+        raw = margins_mod.count_margin_solutions(s, k, part.sizes, bound)
         print(f"fold onto Z_{modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
         print(f"  {raw} solutions of the two moment equations")
-        consistent = margins_mod.lift_margin_solutions(s, args.k, part, bound)
+        consistent = margins_mod.lift_margin_solutions(s, k, part, bound)
         print(f"  {len(consistent)} remain after full fold consistency")
         for sol in consistent:
             print(f"    b = {sol.values}  scaled = {sol.scaled}")
@@ -130,11 +120,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        elem, k, bound = witness_parse(Path(args.witness).read_text())
-    except (OSError, WitnessFormatError) as exc:
-        print(f"cannot read witness: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    elem, k, bound = _read_witness(args.witness)
     ok = verify(elem, k, bound)
     kind = f"CW({elem.order},{k})" if bound == 1 else f"ICW_{bound}({elem.order},{k})"
     if not ok:
@@ -146,14 +132,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    try:
-        elem, k, _ = witness_parse(Path(args.witness).read_text())
-    except (OSError, WitnessFormatError) as exc:
-        print(f"cannot read witness: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if elem.order % args.m:
-        print(f"{args.m} does not divide {elem.order}", file=sys.stderr)
-        return EXIT_USAGE
+    elem, k, _ = _read_witness(args.witness)
     b = fold(elem, args.m)
     print(f"fold onto Z_{args.m}: {list(b.coeffs)}")
     print(f"sum = {sum(b.coeffs)}, sum of squares = {sum(c*c for c in b.coeffs)} (k = {k})")
@@ -168,16 +147,10 @@ def cmd_construct(args) -> int:
         out = constructions.cw14m_family(args.m)
         k = 16
     else:
-        if len(args.inputs) < 2:
-            print(f"construct {args.what} needs two witness files", file=sys.stderr)
+        if len(args.inputs) != 2:
+            print(f"construct {args.what} needs exactly two witness files", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            (a, ka, _), (b, kb, _) = (
-                witness_parse(Path(path).read_text()) for path in args.inputs[:2]
-            )
-        except OSError as exc:
-            print(f"cannot read witness: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        (a, ka, _), (b, kb, _) = map(_read_witness, args.inputs)
         if args.what == "kronecker":
             out, k = constructions.kronecker(a, b), ka * kb
         else:
@@ -249,19 +222,14 @@ def cmd_census(args) -> int:
 
 def seed_demo() -> int:
     """Walk through the order-63, weight-16 search end to end."""
-    n, k, t = 63, 16, 2
-    s = math.isqrt(k)
-    d, m = default_factorization(n, k, t)
-    table = build(n, d, m, t)
-    print(f"demo: n = {n} = {d} x {m}, k = {k}, multiplier {t}")
+    n, k = 63, 16
+    config = plan(n, k)
+    table = config.table
+    print(f"demo: n = {n} = {table.d} x {table.m}, k = {k}, multiplier {table.multiplier}")
     print()
     print(render(table), end="")
     print()
-    for modulus, part, bound in (
-        (d, table.row_orbits, m),
-        (m, table.col_orbits, d),
-    ):
-        sols = side_margin_solutions(s, k, part, 1, bound)
+    for (modulus, part, bound), sols in zip(config.folds, config.margin_solutions()):
         print(f"margins onto Z_{modulus} (orbit sizes {part.sizes}, bound {bound}):")
         for sol in sols:
             print(f"  b = {sol.values}  scaled = {sol.scaled}")

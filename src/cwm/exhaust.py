@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import margins as margins_mod
 from .groupring import GroupRingElement, canonical_form, verify
 from .numbertheory import (
+    OrbitPartition,
     coprime_part,
     factorize,
     is_self_conjugate,
@@ -35,9 +36,11 @@ class MethodInapplicable(Exception):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How a search of CW(n, k) is set up: the orbit table, the weight,
+    the coefficient bound, and through them the two folds it searches."""
+
     table: OrbitTable
     k: int
-    s: int
     coeff_bound: int = 1
     mode: str = "all"  # "first" | "all" | "count"
     node_budget: Optional[int] = None
@@ -46,9 +49,30 @@ class SearchConfig:
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
         if self.s * self.s != self.k:
-            raise ValueError(f"k = {self.k} is not s^2 for s = {self.s}")
+            raise ValueError(f"k = {self.k} is not a perfect square")
         if self.mode not in ("first", "all", "count"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    @property
+    def s(self) -> int:
+        return math.isqrt(self.k)
+
+    @property
+    def folds(self) -> tuple[tuple[int, OrbitPartition, int], ...]:
+        """(modulus, orbits, coefficient bound) of the row fold onto Z_d and
+        the column fold onto Z_m; a fold sums n / modulus coefficients."""
+        t = self.table
+        return (
+            (t.d, t.row_orbits, self.coeff_bound * t.m),
+            (t.m, t.col_orbits, self.coeff_bound * t.d),
+        )
+
+    def margin_solutions(self) -> tuple[list[margins_mod.MarginSolution], ...]:
+        """The margin solutions of the row fold and of the column fold."""
+        return tuple(
+            side_margin_solutions(self.s, self.k, part, bound)
+            for _, part, bound in self.folds
+        )
 
 
 @dataclass(frozen=True)
@@ -199,7 +223,7 @@ def _sc_exponents(k: int) -> list[tuple[int, int]]:
 
 
 def side_margin_solutions(
-    s: int, k: int, partition, coeff_bound: int, cofactor: int
+    s: int, k: int, partition: OrbitPartition, bound: int
 ) -> list[margins_mod.MarginSolution]:
     """Margin solutions for one fold, after every sound filter: the
     solutions of the fold equation lifted through the quotients of the
@@ -207,9 +231,7 @@ def side_margin_solutions(
     divisor = math.prod(
         p**a for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
     )
-    return margins_mod.lift_margin_solutions(
-        s, k, partition, coeff_bound * cofactor, divisor
-    )
+    return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
 
 
 def _pair_task(args):
@@ -231,6 +253,32 @@ def derive_multiplier(n: int, k: int) -> int:
     return t
 
 
+def plan(
+    n: int,
+    k: int,
+    multiplier: Optional[int] = None,
+    coeff_bound: int = 1,
+    factorization: Optional[tuple[int, int]] = None,
+) -> SearchConfig:
+    """The set-up of a search of CW(n, k): the multiplier (derived unless
+    supplied), the split n = d * m (the default one unless supplied), its
+    orbit table and the coefficient bound.
+
+    Orders with no coprime split get a 1 x n table, whose columns are the
+    orbits of Z_n itself.  Raises ValueError for a k that is not a square
+    or a multiplier not coprime to n, and MethodInapplicable when no
+    multiplier is available.
+    """
+    if math.isqrt(k) ** 2 != k:
+        raise ValueError(f"k = {k} is not a perfect square")
+    if multiplier is None:
+        multiplier = derive_multiplier(n, k)
+    if math.gcd(multiplier, n) != 1:
+        raise ValueError(f"multiplier {multiplier} is not coprime to {n}")
+    d, m = factorization or default_factorization(n, k, multiplier) or (1, n)
+    return SearchConfig(table=build(n, d, m, multiplier), k=k, coeff_bound=coeff_bound)
+
+
 def search(
     n: int,
     k: int,
@@ -240,28 +288,16 @@ def search(
     node_budget: Optional[int] = None,
     jobs: int = 1,
 ) -> SearchOutcome:
-    """Full driver: derive the multiplier, pick a factorization, solve and
-    filter the margin systems, and run the exhaust over every margin pair.
+    """Full driver: plan the search, solve the margin systems of both
+    folds, and run the exhaust over every margin pair.
 
-    Orders with no coprime split run as a 1 x n table, whose columns are
-    the orbits of Z_n itself.  Finds every solution class fixed by the
-    multiplier group, which is complete up to equivalence because some
-    translate of any solution is fixed.  Raises MethodInapplicable when
-    no multiplier is available.
+    Finds every solution class fixed by the multiplier group, which is
+    complete up to equivalence because some translate of any solution is
+    fixed.  Raises MethodInapplicable when no multiplier is available.
     """
-    s = math.isqrt(k)
-    if s * s != k:
-        raise ValueError(f"k = {k} is not a perfect square")
-    if multiplier is None:
-        multiplier = derive_multiplier(n, k)
-    if math.gcd(multiplier, n) != 1:
-        raise ValueError(f"multiplier {multiplier} is not coprime to {n}")
-
-    d, m = default_factorization(n, k, multiplier) or (1, n)
-    table = build(n, d, m, multiplier)
-    config = SearchConfig(table=table, k=k, s=s, coeff_bound=coeff_bound, mode=mode)
-    row_sols = side_margin_solutions(s, k, table.row_orbits, coeff_bound, m)
-    col_sols = side_margin_solutions(s, k, table.col_orbits, coeff_bound, d)
+    config = replace(plan(n, k, multiplier, coeff_bound), mode=mode)
+    table = config.table
+    row_sols, col_sols = config.margin_solutions()
     pairs = margins_mod.margin_pairs(row_sols, col_sols, table.row_orbits, table.col_orbits)
     budgets = _split_budget(node_budget, len(pairs))
 
@@ -346,9 +382,7 @@ def icw_census(
     out = []
     for n, k in cases:
         d, m = contraction_parameters(n, k)
-        t = mcfarland_multiplier(m, k)
-        if t is None:
-            raise MethodInapplicable(f"no multiplier for contracted case ({n},{k})")
+        t = derive_multiplier(m, k)
         outcome = search(m, k, multiplier=t, coeff_bound=d, mode=mode, jobs=jobs)
         out.append(
             CensusRow(

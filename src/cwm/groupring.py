@@ -180,27 +180,21 @@ def weight_profile(s: int) -> WeightProfile:
     return WeightProfile(s=s, k=k, positives=(k + s) // 2, negatives=(k - s) // 2)
 
 
-def _coprime_residues(n: int) -> list[int]:
-    return [t for t in range(1, n) if math.gcd(t, n) == 1]
-
-
 def canonical_form(a: GroupRingElement) -> GroupRingElement:
     """Lexicographically least coefficient vector over the equivalence
     group generated by cyclic shifts, X -> X^t for gcd(t,n)=1, and
     global negation."""
     n = a.order
     best: Optional[tuple[int, ...]] = None
-    for t in _coprime_residues(n):
-        mapped = [0] * n
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                mapped[(i * t) % n] = ai
-        for sign in (1, -1):
-            vec = mapped if sign == 1 else [-c for c in mapped]
-            for s in range(n):
-                rot = tuple(vec[(i - s) % n] for i in range(n))
-                if best is None or rot < best:
-                    best = rot
+    for t in range(n):
+        if math.gcd(t, n) != 1:
+            continue
+        mapped = power_map(a, t).coeffs
+        for vec in (mapped, tuple(-c for c in mapped)):
+            doubled = vec + vec
+            least = min(doubled[s : s + n] for s in range(n))
+            if best is None or least < best:
+                best = least
     return GroupRingElement(n, best)
 
 

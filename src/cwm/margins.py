@@ -261,17 +261,6 @@ def shift_orbit_permutations(partition: OrbitPartition) -> list[tuple[int, ...]]
     return perms
 
 
-def _canonical_scaled(scaled: tuple[int, ...], perms: list[tuple[int, ...]]) -> tuple[int, ...]:
-    # lexicographically greatest image; index i of the result takes the value
-    # of the orbit that moves onto position i
-    best = None
-    for perm in perms:
-        cand = tuple(scaled[perm[i]] for i in range(len(scaled)))
-        if best is None or cand > best:
-            best = cand
-    return best
-
-
 def reduce_by_shifts(
     solutions: Iterable[MarginSolution], partition: OrbitPartition
 ) -> list[MarginSolution]:
@@ -281,7 +270,9 @@ def reduce_by_shifts(
     sizes = partition.sizes
     seen = {}
     for sol in solutions:
-        key = _canonical_scaled(sol.scaled, perms)
+        scaled = sol.scaled
+        # index i of an image takes the value of the orbit that moves onto i
+        key = max(tuple(scaled[j] for j in perm) for perm in perms)
         if key not in seen:
             values = tuple(v // s for v, s in zip(key, sizes))
             seen[key] = MarginSolution(sizes, values)
@@ -297,8 +288,6 @@ def margin_pairs(
     """Pairs of scaled row/column margin vectors, one per class under
     independent row/column translation actions: the lexicographically
     greatest (r, c) of each class, in sorted order."""
-    rperms = shift_orbit_permutations(row_partition)
-    cperms = shift_orbit_permutations(col_partition)
-    rkeys = {_canonical_scaled(sol.scaled, rperms) for sol in row_solutions}
-    ckeys = {_canonical_scaled(sol.scaled, cperms) for sol in col_solutions}
-    return sorted((r, c) for r in rkeys for c in ckeys)
+    rows = reduce_by_shifts(row_solutions, row_partition)
+    cols = reduce_by_shifts(col_solutions, col_partition)
+    return [(r.scaled, c.scaled) for r in rows for c in cols]

@@ -76,8 +76,8 @@ class TestCriterion2:
     def test_worked_example(self, worked_search, cw63):
         out, elapsed = worked_search
         table = build(63, 9, 7, 2)
-        rows = side_margin_solutions(4, 16, table.row_orbits, 1, 7)
-        cols = side_margin_solutions(4, 16, table.col_orbits, 1, 9)
+        rows = side_margin_solutions(4, 16, table.row_orbits, 7)
+        cols = side_margin_solutions(4, 16, table.col_orbits, 9)
         pairs = margin_pairs(rows, cols, table.row_orbits, table.col_orbits)
         pair_present = ((4, 0, 0), (1, 6, -3)) in pairs
         found = canonical_form(cw63).coeffs in {s.coeffs for s in out.solutions}

@@ -6,7 +6,8 @@ import pytest
 from cwm.cli import main
 from cwm.groupring import witness_format, witness_parse
 
-# stdout of `cwm margins` as the enumerate-then-filter margin path printed it
+# stdout of `cwm margins` as the enumerate-then-filter margin path printed
+# it, and of `cwm search` and `cwm --seed-demo` before the search plan
 GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
@@ -78,6 +79,28 @@ class TestSearch:
         assert code == 2
         assert out == "" and "coeff_bound" in err
 
+    def test_order_one(self, capsys):
+        code, out, _ = run(capsys, "search", "--n", "1", "--k", "1", "-t", "1")
+        assert code == 0
+        assert out == (
+            "CW(1,1): 1 equivalence classes "
+            "(1 solutions found, 1 candidates tested, 2 nodes)\n  -1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("--n", "63", "--k", "16"), "search_63_16.txt"),
+            (("--n", "110", "--k", "81"), "search_110_81.txt"),
+            (("--n", "26", "--k", "9", "--mode", "first"), "search_26_9_first.txt"),
+        ],
+        ids=["63-16", "110-81", "26-9-first"],
+    )
+    def test_stdout_golden(self, capsys, argv, name):
+        code, out, _ = run(capsys, "search", *argv)
+        assert code == (1 if name == "search_110_81.txt" else 0)
+        assert out == (GOLDEN / name).read_text()
+
     def test_stats_line_gated(self, capsys):
         _, plain, _ = run(capsys, "search", "--n", "7", "--k", "4")
         _, stats, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
@@ -125,6 +148,23 @@ class TestOrbitsAndMargins:
             run(capsys, "margins", "--n", "110")
         assert exc.value.code == 2
 
+    def test_margins_bad_coeff_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "margins", "--n", "63", "--k", "16", "--coeff-bound", "0")
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["orbits", "margins"])
+    @pytest.mark.parametrize("option", [("--d", "9"), ("--m", "7")], ids=["d-only", "m-only"])
+    def test_half_factorization_exits_2(self, capsys, command, option):
+        code, out, err = run(capsys, command, "--n", "63", "--k", "16", *option)
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_supplied_factorization(self, capsys):
+        code, out, _ = run(capsys, "margins", "--n", "63", "--k", "16", "--d", "7", "--m", "9")
+        assert code == 0
+        assert out.startswith("fold onto Z_7: orbit sizes (1, 3, 3), |b_i| <= 9\n")
+
 
 class TestFold:
     def test_intersection_numbers(self, capsys):
@@ -135,6 +175,11 @@ class TestFold:
     def test_bad_modulus(self, capsys):
         code, _, err = run(capsys, "fold", witness_path("cw63_16.cw"), "--m", "8")
         assert code == 2
+
+    def test_zero_modulus_exits_2(self, capsys):
+        code, out, err = run(capsys, "fold", witness_path("cw63_16.cw"), "--m", "0")
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
 
 
 class TestConstruct:
@@ -174,12 +219,13 @@ class TestConstruct:
             ("type2", "cw7_4.cw"),
             ("kronecker", "cw7_4.cw", "no/such/file.cw"),
             ("type2", "no/such/file.cw", "cw7_4.cw"),
+            ("kronecker", "cw7_4.cw", "cw13_9.cw", "cw7_4.cw"),
         ],
         ids=["cw14m-no-m", "kronecker-none", "kronecker-one", "type2-one",
-             "kronecker-missing", "type2-missing"],
+             "kronecker-missing", "type2-missing", "kronecker-three"],
     )
     def test_bad_inputs_exit_2(self, capsys, argv):
-        argv = [witness_path(a) if a == "cw7_4.cw" else a for a in argv]
+        argv = [witness_path(a) if a in ("cw7_4.cw", "cw13_9.cw") else a for a in argv]
         code, out, err = run(capsys, "construct", *argv)
         assert code == 2
         assert out == "" and len(err.splitlines()) == 1
@@ -225,6 +271,11 @@ class TestSeedDemo:
         assert code == 0
         assert "n = 63 = 9 x 7" in out
         assert "2 equivalence classes" in out
+
+    def test_stdout_golden(self, capsys):
+        code, out, _ = run(capsys, "--seed-demo")
+        assert code == 0
+        assert out == (GOLDEN / "seed_demo.txt").read_text()
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "--seed-demo")

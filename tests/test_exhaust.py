@@ -4,12 +4,14 @@ import math
 import pytest
 
 from cwm.exhaust import (
+    CONTRACTED_SEARCH_CASES,
     MethodInapplicable,
     SearchConfig,
     contraction_parameters,
     derive_multiplier,
     exhaust_pair,
     icw_census,
+    plan,
     search,
     side_margin_solutions,
 )
@@ -21,14 +23,20 @@ from cwm.margins import (
     self_conjugacy_filter,
     solve_margin_system,
 )
-from cwm.numbertheory import factorize, is_self_conjugate, orbits, prime_power_multiplier
+from cwm.numbertheory import (
+    factorize,
+    is_self_conjugate,
+    mcfarland_multiplier,
+    orbits,
+    prime_power_multiplier,
+)
 from cwm.orbittable import build, default_factorization
 
 
-def enumerated_side(s, k, part, coeff_bound, cofactor):
+def enumerated_side(s, k, part, bound):
     """Every moment solution of one fold that the self-conjugacy filter
     keeps: the margin set of side_margin_solutions before fold consistency."""
-    sols = solve_margin_system(s, k, part.sizes, coeff_bound * cofactor)
+    sols = solve_margin_system(s, k, part.sizes, bound)
     for p, e in factorize(k).items():
         if e >= 2 and is_self_conjugate(p, part.modulus):
             sols = self_conjugacy_filter(sols, p, part.modulus, e // 2)
@@ -39,18 +47,14 @@ def reference_classes(n, k, fold_consistency, symmetry_reduction):
     """Class set of search(n, k) rebuilt with pruning layers turned off:
     enumerated margins in place of lifted ones, and every (row, column)
     pair in place of one per translation class, each through exhaust_pair."""
-    s = math.isqrt(k)
-    t = derive_multiplier(n, k)
-    d, m = default_factorization(n, k, t)
-    table = build(n, d, m, t)
+    config = plan(n, k)
+    table = config.table
     side = side_margin_solutions if fold_consistency else enumerated_side
-    rows = side(s, k, table.row_orbits, 1, m)
-    cols = side(s, k, table.col_orbits, 1, d)
+    rows, cols = (side(config.s, k, part, bound) for _, part, bound in config.folds)
     if symmetry_reduction:
         pairs = margin_pairs(rows, cols, table.row_orbits, table.col_orbits)
     else:
         pairs = [(r.scaled, c.scaled) for r in rows for c in cols]
-    config = SearchConfig(table=table, k=k, s=s)
     classes = set()
     for r, c in pairs:
         classes |= {sol.coeffs for sol in exhaust_pair(config, r, c).solutions}
@@ -64,7 +68,7 @@ def table63():
 
 class TestExhaustPair:
     def test_finds_worked_63_16_solution(self, table63, cw63):
-        config = SearchConfig(table=table63, k=16, s=4)
+        config = SearchConfig(table=table63, k=16)
         out = exhaust_pair(config, (4, 0, 0), (1, 6, -3))
         assert out.classes >= 1
         assert canonical_form(cw63).coeffs in {s.coeffs for s in out.solutions}
@@ -73,34 +77,34 @@ class TestExhaustPair:
     def test_zero_margins_rejected_for_positive_weight(self, table63):
         # all-zero margins cannot total s > 0, and the zero element the
         # empty assignment reconstructs never verifies against k > 0
-        config = SearchConfig(table=table63, k=16, s=4)
+        config = SearchConfig(table=table63, k=16)
         with pytest.raises(ValueError):
             exhaust_pair(config, (0, 0, 0), (0, 0, 0))
         assert not verify(GroupRingElement(63, (0,) * 63), 16, 1)
 
     def test_all_leaves_verified(self, table63):
-        config = SearchConfig(table=table63, k=16, s=4)
+        config = SearchConfig(table=table63, k=16)
         out = exhaust_pair(config, (4, 0, 0), (1, 6, -3))
         for sol in out.solutions:
             assert verify(sol, 16, 1)
 
     def test_budget_reported_honestly(self, table63):
-        config = SearchConfig(table=table63, k=16, s=4, node_budget=10)
+        config = SearchConfig(table=table63, k=16, node_budget=10)
         out = exhaust_pair(config, (4, 0, 0), (1, 6, -3))
         assert not out.exhaustive
         assert out.nodes_visited <= 11
 
     def test_nodes_monotone_in_coeff_bound(self, table63):
         out1 = exhaust_pair(
-            SearchConfig(table=table63, k=16, s=4), (4, 0, 0), (1, 6, -3)
+            SearchConfig(table=table63, k=16), (4, 0, 0), (1, 6, -3)
         )
         out2 = exhaust_pair(
-            SearchConfig(table=table63, k=16, s=4, coeff_bound=2), (4, 0, 0), (1, 6, -3)
+            SearchConfig(table=table63, k=16, coeff_bound=2), (4, 0, 0), (1, 6, -3)
         )
         assert out2.nodes_visited >= out1.nodes_visited
 
     def test_margin_total_mismatch_rejected(self, table63):
-        config = SearchConfig(table=table63, k=16, s=4)
+        config = SearchConfig(table=table63, k=16)
         with pytest.raises(ValueError):
             exhaust_pair(config, (3, 0, 0), (1, 6, -3))
 
@@ -166,6 +170,44 @@ class TestSearch:
 
     def test_budget_honoured_on_order_without_split(self):
         assert search(31, 25, node_budget=1).exhaustive is False
+
+
+class TestPlan:
+    def test_default_and_supplied_factorization(self):
+        table = plan(63, 16).table
+        assert (table.d, table.m, table.multiplier) == (9, 7, 2)
+        table = plan(63, 16, factorization=(7, 9)).table
+        assert (table.d, table.m) == (7, 9)
+
+    def test_order_without_split_is_one_row(self):
+        table = plan(31, 25).table
+        assert (table.d, table.m) == (1, 31)
+
+    def test_folds_carry_bounds(self, table63):
+        config = plan(63, 16, coeff_bound=2)
+        assert config.table == table63 and config.s == 4
+        assert config.folds == ((9, table63.row_orbits, 14), (7, table63.col_orbits, 18))
+
+    def test_margin_solutions_of_both_folds(self, table63):
+        rows, cols = plan(63, 16).margin_solutions()
+        assert [sol.values for sol in rows] == [(4, 0, 0)]
+        assert (1, 2, -1) in [sol.values for sol in cols]
+        assert all(sol.orbit_sizes == table63.col_orbits.sizes for sol in cols)
+
+    def test_errors_in_order(self):
+        # a non-square k is a usage error before any multiplier is derived
+        with pytest.raises(ValueError, match="perfect square"):
+            plan(112, 35)
+        with pytest.raises(MethodInapplicable):
+            plan(112, 36)
+        with pytest.raises(ValueError, match="coprime"):
+            plan(63, 16, multiplier=3)
+        with pytest.raises(ValueError, match="coeff_bound"):
+            plan(63, 16, coeff_bound=0)
+
+    def test_config_rejects_non_square_weight(self, table63):
+        with pytest.raises(ValueError):
+            SearchConfig(table=table63, k=15)
 
 
 class TestCompletenessOracles:
@@ -234,6 +276,13 @@ class TestCensus:
         assert contraction_parameters(105, 36) == (3, 35)
         assert contraction_parameters(182, 64) == (2, 91)
         assert contraction_parameters(132, 81) == (3, 44)
+
+    def test_census_rule_is_search_rule(self):
+        # the census once took the composite-weight rule directly; on every
+        # contracted case the search's rule gives the same multiplier
+        for n, k in CONTRACTED_SEARCH_CASES:
+            _, m = contraction_parameters(n, k)
+            assert derive_multiplier(m, k) == mcfarland_multiplier(m, k)
 
     def test_single_empty_row(self):
         rows = icw_census(cases=[(182, 64)])
@@ -324,10 +373,10 @@ class TestSideMarginSolutions:
         d, m = default_factorization(n, k, t)
         table = build(n, d, m, t)
         for part, cofactor in ((table.row_orbits, m), (table.col_orbits, d)):
-            lifted = side_margin_solutions(s, k, part, 1, cofactor)
+            lifted = side_margin_solutions(s, k, part, cofactor)
             expected = PINNED_SIDES.get((n, k, part.modulus))
             if expected is None:
-                raw = enumerated_side(s, k, part, 1, cofactor)
+                raw = enumerated_side(s, k, part, cofactor)
                 expected = [sol.values for sol in fold_consistency_filter(raw, part, k)]
             assert [sol.values for sol in lifted] == expected
             assert all(sol.orbit_sizes == part.sizes for sol in lifted)
@@ -335,8 +384,8 @@ class TestSideMarginSolutions:
     def test_self_conjugacy_divisor_applies(self):
         # 3 is self-conjugate mod 6 and 3^2 | 9, so every b is divisible by 3
         part = orbits(6, 5)
-        lifted = side_margin_solutions(3, 9, part, 1, 3)
-        raw = enumerated_side(3, 9, part, 1, 3)
+        lifted = side_margin_solutions(3, 9, part, 3)
+        raw = enumerated_side(3, 9, part, 3)
         assert [sol.values for sol in lifted] == [
             sol.values for sol in fold_consistency_filter(raw, part, 9)
         ]

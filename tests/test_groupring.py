@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwm.groupring import (
     GroupRingElement,
@@ -194,6 +196,43 @@ class TestEquivalence:
         a = from_support(13, positives=[1, 3, 9, 2, 6, 5], negatives=[4, 12, 10])
         assert verify(a, 9, 1)
         assert not are_equivalent(cw13, a)
+
+
+def canonical_form_oracle(a):
+    """The earlier canonical_form: every rotation of every unit image and
+    its negation, built index by index.  Units are taken from 1..n so that
+    Z_1, whose only unit is 0 = 1, has one."""
+    n = a.order
+    best = None
+    for t in (u for u in range(1, n + 1) if math.gcd(u, n) == 1):
+        mapped = [0] * n
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                mapped[(i * t) % n] = ai
+        for sign in (1, -1):
+            vec = mapped if sign == 1 else [-c for c in mapped]
+            for s in range(n):
+                rot = tuple(vec[(i - s) % n] for i in range(n))
+                if best is None or rot < best:
+                    best = rot
+    return GroupRingElement(n, best)
+
+
+class TestCanonicalFormOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.integers(-2, 2), min_size=1, max_size=16))
+    def test_matches_oracle(self, coeffs):
+        a = element(len(coeffs), coeffs)
+        assert canonical_form(a) == canonical_form_oracle(a)
+
+    @pytest.mark.parametrize("coeffs", [(0,), (1,), (-2,), (1, 0), (0, -1), (1, -1)])
+    def test_orders_one_and_two(self, coeffs):
+        a = element(len(coeffs), coeffs)
+        assert canonical_form(a) == canonical_form_oracle(a)
+
+    def test_fixtures_match_oracle(self, cw7, cw13, cw26_proper, cw63):
+        for a in (cw7, cw13, cw26_proper, cw63):
+            assert canonical_form(a) == canonical_form_oracle(a)
 
 
 class TestBruteForceOracle:
