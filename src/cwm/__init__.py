@@ -16,6 +16,7 @@ from .groupring import (
     proper_decomposition,
     shift,
     verify,
+    weight,
     weight_profile,
     witness_format,
     witness_parse,

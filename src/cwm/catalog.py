@@ -4,6 +4,8 @@ Layout on disk: a single tab-separated record file plus a witness
 directory.  One line per (n, k): status is "exists", "nonexistent", or
 "open"; exists records normally carry a witness file that re-verifies on
 every load (corrupt files are quarantined, never silently dropped).
+The catalog keeps the element of every witness it has verified, on load
+or on write, and works from those elements rather than the files.
 Records only ever get stronger: open cells may be settled, but a
 settled cell never reopens, and an exists/nonexistent collision raises
 an integrity alarm carrying both provenances.
@@ -15,6 +17,7 @@ import importlib.resources
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -81,6 +84,17 @@ OPEN_CASES = (
     (112, 100), (120, 100), (155, 100), (156, 100), (165, 100),
     (182, 100), (195, 100),
 )
+# the verdicts seeded from the tables above, as (cases, status, provenance)
+SETTLED = (
+    (HAND_PROOF_NONEXISTENT, "nonexistent", "margin analysis over multiplier orbits"),
+    (CONTRACTED_NONEXISTENT, "nonexistent", "contracted integer search is empty"),
+    (EXHAUST_NONEXISTENT, "nonexistent", "exhaustive orbit search (long run)"),
+    (
+        OPEN_CASES,
+        "open",
+        "remaining open case (34 prior - 7 margin proofs - 5 long exhausts = 22)",
+    ),
+)
 
 BUNDLED_WITNESSES = ("cw7_4.cw", "cw13_9.cw", "cw26_9.cw", "cw63_16.cw")
 
@@ -91,6 +105,8 @@ class Catalog:
         self.n_max = n_max
         self.k_max = k_max
         self.records: dict[tuple[int, int], CatalogRecord] = {}
+        # the verified element behind every record that names a witness file
+        self.witnesses: dict[tuple[int, int], GroupRingElement] = {}
         self.warnings: list[str] = []
         if (self.root / RECORD_FILE).exists():
             self._load()
@@ -123,6 +139,7 @@ class Catalog:
             elem, k, bound = witness_parse(path.read_text())
             if k != rec.k or elem.order != rec.n or not verify(elem, k, bound):
                 raise WitnessFormatError("witness does not verify against its record")
+            self.witnesses[(rec.n, rec.k)] = elem
             return rec
         except (OSError, WitnessFormatError) as exc:
             qdir = self.root / WITNESS_DIR / QUARANTINE_DIR
@@ -167,11 +184,7 @@ class Catalog:
         return self.records.get((n, k))
 
     def witness_element(self, n: int, k: int) -> Optional[GroupRingElement]:
-        rec = self.records.get((n, k))
-        if rec is None or rec.witness is None:
-            return None
-        elem, _, _ = witness_parse((self.root / rec.witness).read_text())
-        return elem
+        return self.witnesses.get((n, k))
 
     # -------------------------------------------------------------- updates
 
@@ -181,10 +194,10 @@ class Catalog:
         """Insert or strengthen a record; returns the stored record, or
         None when the update was a forbidden downgrade (ignored).
 
-        exists-records need a verifying witness: either an element to be
-        written into the witness directory, or an already-referenced file.
-        Provenance naming an external construction may stand in for a
-        witness (imported theory results have none to offer).
+        exists-records need a verifying witness element, which is written
+        into the witness directory.  Provenance naming an external
+        construction may stand in for a witness (imported theory results
+        have none to offer).
         """
         old = self.records.get((record.n, record.k))
         if old is not None:
@@ -216,19 +229,14 @@ class Catalog:
             wdir.mkdir(parents=True, exist_ok=True)
             name = f"{WITNESS_DIR}/cw{record.n}_{record.k}.cw"
             (self.root / name).write_text(witness_format(element, record.k, bound))
+            self.witnesses[(record.n, record.k)] = element
             return replace(record, witness=name)
-        if record.witness is not None:
-            checked = self._check_witness(record)
-            if checked.witness is None:
-                raise ValueError(
-                    f"witness file for ({record.n},{record.k}) failed verification"
-                )
-            return checked
-        if "external" not in record.provenance:
+        if record.witness is not None or "external" not in record.provenance:
             raise ValueError(
                 f"exists record ({record.n},{record.k}) needs a witness "
                 "or an external-construction provenance"
             )
+        self.witnesses.pop((record.n, record.k), None)
         return record
 
     def import_dir(self, path: Path | str) -> list[CatalogRecord]:
@@ -236,16 +244,14 @@ class Catalog:
         added = []
         for file in sorted(Path(path).glob("*.cw")):
             try:
-                elem, k, bound = witness_parse(file.read_text())
-                if not verify(elem, k, bound):
-                    raise WitnessFormatError("does not verify")
-            except WitnessFormatError as exc:
+                elem, k, _ = witness_parse(file.read_text())
+                rec = self.upsert(
+                    CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
+                    element=elem,
+                )
+            except ValueError as exc:  # a malformed file, or one that fails verification
                 self.warnings.append(f"{file.name}: {exc}")
                 continue
-            rec = self.upsert(
-                CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
-                element=elem,
-            )
             if rec is not None:
                 added.append(rec)
         return added
@@ -254,52 +260,38 @@ class Catalog:
 
     def close_under_constructions(self) -> list[CatalogRecord]:
         """Close the exists-set under multiples and coprime products,
-        within the (n_max, k_max) window.  Idempotent."""
+        within the (n_max, k_max) window.  Idempotent.
+
+        Each round tries the multiples, then the products, of the
+        witnesses held when it starts, and builds a candidate only for a
+        cell that is not yet exists."""
         added: list[CatalogRecord] = []
         while True:
-            witnessed = [
-                (key, self.witness_element(*key))
-                for key, rec in sorted(self.records.items())
-                if rec.status == "exists" and rec.witness is not None
-            ]
-            witnessed = [(key, el) for key, el in witnessed if el is not None]
-            new_round = []
-            for (n, k), elem in witnessed:
-                for d in range(2, self.n_max // n + 1):
-                    if self.status(d * n, k) != "exists":
-                        new_round.append(
-                            (
-                                CatalogRecord(
-                                    d * n, k, "exists", None,
-                                    f"multiple of the ({n},{k}) witness",
-                                ),
-                                constructions.multiple(elem, d),
-                            )
-                        )
-            for idx, ((n1, k1), e1) in enumerate(witnessed):
-                for (n2, k2), e2 in witnessed[idx + 1 :]:
-                    if math.gcd(n1, n2) != 1:
-                        continue
-                    if n1 * n2 > self.n_max or k1 * k2 > self.k_max:
-                        continue
-                    if self.status(n1 * n2, k1 * k2) != "exists":
-                        new_round.append(
-                            (
-                                CatalogRecord(
-                                    n1 * n2, k1 * k2, "exists", None,
-                                    f"product of the ({n1},{k1}) and ({n2},{k2}) witnesses",
-                                ),
-                                constructions.kronecker(e1, e2),
-                            )
-                        )
-            if not new_round:
+            before = len(added)
+            for n, k, provenance, build in self._candidates(sorted(self.witnesses.items())):
+                if self.status(n, k) != "exists":
+                    rec = CatalogRecord(n, k, "exists", None, provenance)
+                    added.append(self.upsert(rec, element=build()))
+            if len(added) == before:
                 return added
-            for rec, elem in new_round:
-                if self.status(rec.n, rec.k) == "exists":
-                    continue
-                stored = self.upsert(rec, element=elem)
-                if stored is not None:
-                    added.append(stored)
+
+    def _candidates(self, witnessed):
+        """(n, k, provenance, builder) of every multiple, then every coprime
+        product, of the given witnesses within the window."""
+        for (n, k), elem in witnessed:
+            for d in range(2, self.n_max // n + 1):
+                yield (
+                    d * n, k, f"multiple of the ({n},{k}) witness",
+                    partial(constructions.multiple, elem, d),
+                )
+        for idx, ((n1, k1), e1) in enumerate(witnessed):
+            for (n2, k2), e2 in witnessed[idx + 1 :]:
+                if math.gcd(n1, n2) == 1 and n1 * n2 <= self.n_max and k1 * k2 <= self.k_max:
+                    yield (
+                        n1 * n2, k1 * k2,
+                        f"product of the ({n1},{k1}) and ({n2},{k2}) witnesses",
+                        partial(constructions.kronecker, e1, e2),
+                    )
 
     # ------------------------------------------------------------- rendering
 
@@ -337,25 +329,9 @@ def seed_known_results(root: Path | str, n_max: int = 200, k_max: int = 100) -> 
             CatalogRecord(elem.order, k, "exists", None, f"bundled witness {name}"),
             element=elem,
         )
-    for n, k in HAND_PROOF_NONEXISTENT:
-        cat.upsert(
-            CatalogRecord(n, k, "nonexistent", None, "margin analysis over multiplier orbits")
-        )
-    for n, k in CONTRACTED_NONEXISTENT:
-        cat.upsert(
-            CatalogRecord(n, k, "nonexistent", None, "contracted integer search is empty")
-        )
-    for n, k in EXHAUST_NONEXISTENT:
-        cat.upsert(
-            CatalogRecord(n, k, "nonexistent", None, "exhaustive orbit search (long run)")
-        )
-    for n, k in OPEN_CASES:
-        cat.upsert(
-            CatalogRecord(
-                n, k, "open", None,
-                "remaining open case (34 prior - 7 margin proofs - 5 long exhausts = 22)",
-            )
-        )
+    for cases, status, provenance in SETTLED:
+        for n, k in cases:
+            cat.upsert(CatalogRecord(n, k, status, None, provenance))
     for n, k in constructions.rds_proper_parameters(9):
         if n <= n_max and k <= k_max and cat.status(n, k) != "exists":
             cat.upsert(

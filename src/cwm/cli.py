@@ -168,6 +168,11 @@ def _catalog_root(args) -> Path:
     return Path(os.environ.get("CW_CATALOG_DIR", "cw_catalog"))
 
 
+def _print_warnings(warnings) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def cmd_catalog(args) -> int:
     root = _catalog_root(args)
     if args.action == "seed":
@@ -175,8 +180,15 @@ def cmd_catalog(args) -> int:
         print(f"seeded {len(cat.records)} records into {root}")
         return EXIT_OK
     cat = catalog_mod.Catalog(root)
-    for w in cat.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(cat.warnings)
+    loaded = len(cat.warnings)
+    try:
+        return _catalog_action(cat, args)
+    finally:
+        _print_warnings(cat.warnings[loaded:])  # the ones the action added
+
+
+def _catalog_action(cat, args) -> int:
     if args.action == "status":
         if args.n is None or args.k is None:
             print("catalog status needs --n and --k", file=sys.stderr)

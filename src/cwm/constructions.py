@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .groupring import (
-    GroupRingElement,
-    multiply,
-    conjugate,
-    proper_decomposition,
-    verify,
-)
+from .groupring import GroupRingElement, proper_decomposition, verify, weight
 from .numbertheory import crt_combine, is_prime_power
 
 # the weight-4 matrix of order 7: -1 + X + X^2 + X^4
@@ -24,10 +18,10 @@ CW7_4 = GroupRingElement(7, (-1, 1, 1, 0, 1, 0, 0))
 
 
 def _weight_of(a: GroupRingElement) -> int:
-    prod = multiply(a, conjugate(a))
-    if any(prod.coeffs[1:]):
+    k = weight(a)
+    if k is None:
         raise ValueError("input does not verify as a weighing matrix")
-    return prod.coeffs[0]
+    return k
 
 
 def multiple(b: GroupRingElement, d: int) -> GroupRingElement:

@@ -295,6 +295,10 @@ def search(
     complete up to equivalence because some translate of any solution is
     fixed.  Raises MethodInapplicable when no multiplier is available.
     """
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     config = replace(plan(n, k, multiplier, coeff_bound), mode=mode)
     table = config.table
     row_sols, col_sols = config.margin_solutions()

@@ -152,15 +152,17 @@ def fold(a: GroupRingElement, m: int) -> GroupRingElement:
     return GroupRingElement(m, tuple(out))
 
 
+def weight(a: GroupRingElement) -> Optional[int]:
+    """The k with A * conjugate(A) = k, or None when the product has a
+    nonzero coefficient off X^0 (A is no weighing matrix)."""
+    prod = multiply(a, conjugate(a))
+    return None if any(prod.coeffs[1:]) else prod.coeffs[0]
+
+
 def verify(a: GroupRingElement, k: int, coeff_bound: int = 1) -> bool:
     """True iff A is an ICW_coeff_bound(n, k): bounded coefficients and
     A * conjugate(A) = k.  coeff_bound=1 certifies an honest CW."""
-    if a.max_abs_coeff() > coeff_bound:
-        return False
-    prod = multiply(a, conjugate(a))
-    if prod.coeffs[0] != k:
-        return False
-    return all(c == 0 for c in prod.coeffs[1:])
+    return a.max_abs_coeff() <= coeff_bound and weight(a) == k
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,8 @@ def proper_decomposition(a: GroupRingElement) -> Optional[tuple[int, GroupRingEl
     congruences per divisor is an exhaustive equivalence search.
     """
     n = a.order
-    prod = multiply(a, conjugate(a))
-    k = prod.coeffs[0]
-    if any(prod.coeffs[1:]) or k <= 0:
+    k = weight(a)
+    if k is None or k <= 0:
         raise ValueError("input does not verify as an ICW")
     supp = a.support
     if not supp:

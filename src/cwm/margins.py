@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .groupring import GroupRingElement, weight
 from .numbertheory import OrbitPartition, factorize, is_self_conjugate, orbits
 
 
@@ -234,18 +235,11 @@ def fold_consistency_filter(
     never discards the fold of a true solution.
     """
     mod = partition.modulus
-    out = []
-    for sol in solutions:
-        vec = partition.expand(sol.values)
-        ok = sum(v * v for v in vec) == k
-        if ok:
-            for shift in range(1, mod):
-                if sum(vec[i] * vec[(i + shift) % mod] for i in range(mod)):
-                    ok = False
-                    break
-        if ok:
-            out.append(sol)
-    return out
+    return [
+        sol
+        for sol in solutions
+        if weight(GroupRingElement(mod, partition.expand(sol.values))) == k
+    ]
 
 
 def shift_orbit_permutations(partition: OrbitPartition) -> list[tuple[int, ...]]:

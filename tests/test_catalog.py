@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cwm.catalog import (
@@ -8,7 +10,11 @@ from cwm.catalog import (
     RECORD_FILE,
     seed_known_results,
 )
-from cwm.groupring import witness_format
+from cwm.groupring import verify, witness_format
+
+# records.tsv as seed_known_results wrote it before the catalog kept its
+# verified witness elements
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestUpsert:
@@ -23,6 +29,19 @@ class TestUpsert:
         assert rec.witness is not None
         assert (tmp_path / rec.witness).exists()
         assert cat.status(7, 4) == "exists"
+
+    def test_file_name_without_element_refused(self, tmp_path, cw7):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        with pytest.raises(ValueError, match="needs a witness"):
+            cat.upsert(CatalogRecord(7, 4, "exists", "witnesses/cw7_4.cw", "a name only"))
+
+    def test_external_record_drops_the_witness(self, tmp_path, cw7):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "an external construction"))
+        assert cat.record(7, 4).witness is None
+        assert cat.witness_element(7, 4) is None
 
     def test_bad_witness_blocked(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
@@ -70,6 +89,7 @@ class TestPersistence:
         assert not wfile.exists()
         assert (tmp_path / "witnesses" / "quarantine" / "cw7_4.cw").exists()
         assert "quarantined" in again.record(7, 4).provenance
+        assert again.witness_element(7, 4) is None
 
     def test_unknown_cell_reads_open(self, tmp_path):
         assert Catalog(tmp_path).status(57, 49) == "open"
@@ -115,7 +135,10 @@ class TestImport:
         cat = Catalog(tmp_path / "cat")
         added = cat.import_dir(src)
         assert {(r.n, r.k) for r in added} == {(7, 4), (13, 9)}
-        assert cat.warnings  # the bad file is reported, not silently dropped
+        # the bad file is reported, not silently dropped
+        assert cat.warnings == [
+            "bad.cw: witness for (7,4) fails verification; upsert blocked"
+        ]
 
 
 class TestClosure:
@@ -139,14 +162,28 @@ class TestClosure:
         assert first and not second
 
     def test_every_added_witness_verifies(self, tmp_path, cw7, cw13):
-        from cwm.groupring import verify
-
         cat = Catalog(tmp_path)
         cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
         cat.upsert(CatalogRecord(13, 9, "exists", None, "seed"), element=cw13)
-        for rec in cat.close_under_constructions():
-            elem = cat.witness_element(rec.n, rec.k)
-            assert verify(elem, rec.k, 1)
+        added = cat.close_under_constructions()
+        cat.save()
+        # the reopened catalog re-verifies every witness file on disk
+        again = Catalog(tmp_path)
+        assert again.warnings == []
+        for rec in added:
+            assert again.record(rec.n, rec.k) == rec
+            assert verify(again.witness_element(rec.n, rec.k), rec.k, 1)
+
+    def test_works_from_the_verified_elements(self, tmp_path, cw7):
+        cat = Catalog(tmp_path, n_max=28)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
+        cat.save()
+        again = Catalog(tmp_path, n_max=28)
+        # a file changed after it was verified on load is not read again
+        (tmp_path / "witnesses" / "cw7_4.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
+        added = again.close_under_constructions()
+        assert [(r.n, r.k) for r in added] == [(14, 4), (21, 4), (28, 4)]
+        assert again.witness_element(7, 4) == cw7
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +223,11 @@ class TestSeed:
         for line in text.splitlines():
             if line.startswith("k="):
                 assert set(line.split()[-1]) == {"?"}
+
+    def test_records_match_golden(self, seeded):
+        assert (seeded.root / RECORD_FILE).read_text() == (
+            GOLDEN / "catalog_records.tsv"
+        ).read_text()
 
     def test_open_count_matches_arithmetic(self, seeded):
         opens = [rec for rec in seeded.records.values() if rec.status == "open"]

@@ -3,11 +3,15 @@ from pathlib import Path
 
 import pytest
 
+from cwm import constructions
+from cwm.catalog import CatalogIntegrityError
 from cwm.cli import main
 from cwm.groupring import witness_format, witness_parse
 
 # stdout of `cwm margins` as the enumerate-then-filter margin path printed
-# it, and of `cwm search` and `cwm --seed-demo` before the search plan
+# it, of `cwm search` and `cwm --seed-demo` before the search plan, and of
+# `cwm catalog import` then `close` before the catalog kept its verified
+# witness elements
 GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
@@ -60,6 +64,23 @@ class TestSearch:
                            "--node-budget", "5")
         assert code == 4
         assert "NOT exhaustive" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_2(self, capsys, budget):
+        code, out, err = run(capsys, "search", "--n", "63", "--k", "16",
+                             "--node-budget", budget)
+        assert code == 2
+        assert out == "" and err == "error: node_budget must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("search", "--n", "63", "--k", "16", "--jobs", "0"), ("census", "--jobs", "-3")],
+        ids=["search", "census"],
+    )
+    def test_jobs_below_one_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err == "error: jobs must be >= 1\n"
 
     def test_witness_out(self, capsys, tmp_path):
         target = tmp_path / "found.cw"
@@ -257,6 +278,42 @@ class TestCatalog:
         assert code == 0
         assert "(91,36)" in out
 
+
+    def test_import_close_stdout_golden(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
+        bundled = str(importlib.resources.files("cwm").joinpath("data", "witnesses"))
+        _, imported, _ = run(capsys, "catalog", "import", bundled)
+        _, closed, _ = run(capsys, "catalog", "close")
+        assert imported + closed == (GOLDEN / "catalog_import_close.txt").read_text()
+
+    def test_import_names_skipped_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
+        incoming = tmp_path / "incoming"
+        incoming.mkdir()
+        (incoming / "bad.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
+        code, out, err = run(capsys, "catalog", "import", str(incoming))
+        assert code == 0 and out == "imported 0 witnesses\n"
+        assert err == (
+            "warning: bad.cw: witness for (7,4) fails verification; upsert blocked\n"
+        )
+
+    def test_warnings_printed_when_action_raises(self, capsys, tmp_path, monkeypatch):
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        (cat / "records.tsv").write_text("junk\n7\t4\tnonexistent\t-\thand edit\n")
+        monkeypatch.setenv("CW_CATALOG_DIR", str(cat))
+        incoming = tmp_path / "incoming"
+        incoming.mkdir()
+        (incoming / "bad.cw").write_text("not a witness\n")
+        (incoming / "cw7_4.cw").write_text(
+            witness_format(constructions.CW7_4, 4, 1)
+        )
+        with pytest.raises(CatalogIntegrityError):
+            main(["catalog", "import", str(incoming)])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: malformed record skipped")
+        assert err[1].startswith("warning: bad.cw: ")
 
     def test_import_without_path_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))

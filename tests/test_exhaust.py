@@ -171,6 +171,16 @@ class TestSearch:
     def test_budget_honoured_on_order_without_split(self):
         assert search(31, 25, node_budget=1).exhaustive is False
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node_budget must be >= 1"):
+            search(63, 16, node_budget=budget)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            search(63, 16, jobs=jobs)
+
 
 class TestPlan:
     def test_default_and_supplied_factorization(self):

@@ -21,6 +21,7 @@ from cwm.groupring import (
     proper_decomposition,
     shift,
     verify,
+    weight,
     weight_profile,
     witness_format,
     witness_parse,
@@ -151,6 +152,26 @@ class TestVerify:
         assert verify(shift(cw13, 5), 9, 1)
         assert verify(power_map(cw13, 2), 9, 1)
         assert verify(negate(cw13), 9, 1)
+
+
+class TestWeight:
+    def test_weighing_matrices(self, cw7, cw13):
+        assert weight(cw7) == 4
+        assert weight(cw13) == 9
+        assert weight(element(7, [2 * c for c in cw7.coeffs])) == 16
+        assert weight(element(5, [0] * 5)) == 0
+
+    def test_off_peak_product_gives_none(self):
+        assert weight(element(7, [1, 1, 1, 1, 0, 0, 0])) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    ))
+    def test_matches_naive_product(self, coeffs):
+        a = element(len(coeffs), coeffs)
+        prod = naive_convolution(a, conjugate(a)).coeffs
+        assert weight(a) == (None if any(prod[1:]) else prod[0])
 
 
 class TestWeightProfile:

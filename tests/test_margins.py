@@ -270,6 +270,20 @@ class TestFoldConsistency:
             for shift in range(1, 13):
                 assert sum(vec[i] * vec[(i + shift) % 13] for i in range(13)) == 0
 
+    @pytest.mark.parametrize(
+        "m,t,s,k,bound", [(13, 3, 9, 81, 11), (7, 2, 4, 16, 9), (11, 3, 6, 36, 13)]
+    )
+    def test_keeps_exactly_the_solutions_of_the_fold_equation(self, m, t, s, k, bound):
+        part = orbits(m, t)
+        sols = solve_margin_system(s, k, part.sizes, bound)
+
+        def autocorrelation(sol):
+            vec = part.expand(sol.values)
+            return [sum(vec[i] * vec[(i + x) % m] for i in range(m)) for x in range(m)]
+
+        expected = [sol for sol in sols if autocorrelation(sol) == [k] + [0] * (m - 1)]
+        assert fold_consistency_filter(sols, part, k) == expected
+
     def test_expand_is_orbit_constant(self):
         part = orbits(9, 7)
         sol = MarginSolution(part.sizes, (1, 2, -1, 0, 3))
