@@ -177,6 +177,7 @@ def cmd_catalog(args) -> int:
     root = _catalog_root(args)
     if args.action == "seed":
         cat = catalog_mod.seed_known_results(root)
+        _print_warnings(cat.warnings)
         print(f"seeded {len(cat.records)} records into {root}")
         return EXIT_OK
     cat = catalog_mod.Catalog(root)
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     except MethodInapplicable as exc:
         print(f"method inapplicable: {exc}", file=sys.stderr)
         code = EXIT_INAPPLICABLE
-    except (ValueError, WitnessFormatError) as exc:
+    except (ValueError, WitnessFormatError, catalog_mod.CatalogIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if args.stats:

@@ -4,8 +4,10 @@ The search walks the orbit table column by column (right to left),
 within a column box by box from the bottom row up, assigning each orbit
 a signed multiplicity.  Margins count down toward zero; a line that can
 no longer reach its target is cut immediately, and the running square
-mass (which must end exactly at k) prunes as well.  Every assignment
-surviving to a leaf is verified by the full convolution, so reported
+mass (which must end exactly at k) prunes as well.  A leaf is fixed by
+the multiplier, so its autocorrelation is constant on orbits: the leaf is
+rejected at the first orbit whose one shift gives a nonzero value.  Every
+leaf that survives is verified by the full convolution, so reported
 solutions are sound independent of the pruning.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Optional, Sequence
 
 from . import margins as margins_mod
@@ -109,6 +112,24 @@ def _multiplicity_order(bound: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def orbit_shifts(partition: OrbitPartition) -> tuple[int, ...]:
+    """One nonzero shift g per orbit of the partition, taking g or -g once.
+
+    A vector fixed by x -> t*x has an autocorrelation c_g = sum a_i a_(i+g)
+    with c_(tg) = c_g, and every autocorrelation has c_(-g) = c_g, so the
+    off-peak autocorrelation vanishes iff it vanishes at these shifts."""
+    return tuple(
+        rep
+        for oid, (rep, _) in enumerate(partition.orbits)
+        if rep and partition.orbit_of(-rep) >= oid
+    )
+
+
+def off_peak_vanishes(vec: tuple[int, ...], shifts: Sequence[int]) -> bool:
+    """True iff the autocorrelation of vec is zero at every shift in shifts."""
+    return not any(sum(map(mul, vec, vec[g:] + vec[:g])) for g in shifts)
+
+
 def exhaust_pair(
     config: SearchConfig, r: Sequence[int], c: Sequence[int]
 ) -> SearchOutcome:
@@ -125,32 +146,36 @@ def exhaust_pair(
         raise ValueError(f"margin totals must equal s = {config.s}")
     bound = config.coeff_bound
     k = config.k
+    partition = table.partition
 
-    # column-major plan: right to left, bottom to top, box orbits reversed
-    plan: list[tuple[int, int, int, int]] = []  # (oid, size, row, col)
-    for j in range(table.num_cols - 1, -1, -1):
-        for i in range(table.num_rows - 1, -1, -1):
-            for oid in reversed(table.boxes[i][j]):
-                plan.append((oid, table.orbit_size(oid), i, j))
-    nplan = len(plan)
-
-    # suffix masses per line and total square capacity after each index
-    u, v = table.num_rows, table.num_cols
-    suf_row = [[0] * u for _ in range(nplan + 1)]
-    suf_col = [[0] * v for _ in range(nplan + 1)]
-    suf_sq = [0] * (nplan + 1)
-    for idx in range(nplan - 1, -1, -1):
-        _, size, i, j = plan[idx]
-        suf_row[idx] = suf_row[idx + 1].copy()
-        suf_col[idx] = suf_col[idx + 1].copy()
-        suf_row[idx][i] += bound * size
-        suf_col[idx][j] += bound * size
-        suf_sq[idx] = suf_sq[idx + 1] + bound * bound * size
-
+    # one step per orbit in visit order (column-major: right to left, bottom
+    # to top, box orbits reversed), built back to front: the orbit, its row
+    # and column, the row, column and square masses the later steps can
+    # still carry, and each multiplicity with its line and square mass
     mult_order = _multiplicity_order(bound)
+    choices_of = {
+        size: tuple((mult, mult * size, mult * mult * size) for mult in mult_order)
+        for size in set(partition.sizes)
+    }
+    row_mass = [0] * table.num_rows
+    col_mass = [0] * table.num_cols
+    sq_mass = 0
+    steps = []
+    for j in range(table.num_cols):
+        for i in range(table.num_rows):
+            for oid in table.boxes[i][j]:
+                size = table.orbit_size(oid)
+                steps.append((oid, i, j, row_mass[i], col_mass[j], sq_mass, choices_of[size]))
+                row_mass[i] += bound * size
+                col_mass[j] += bound * size
+                sq_mass += bound * bound * size
+    steps.reverse()
+    nplan = len(steps)
+
+    shifts = orbit_shifts(partition)
     r_res = list(r)
     c_res = list(c)
-    assign = [0] * len(table.partition.orbits)
+    assign = [0] * len(partition)
 
     nodes = 0
     leaves = 0
@@ -169,9 +194,12 @@ def exhaust_pair(
             exhausted_budget = True
             return
         if idx == nplan:
-            # suffix masses force all residuals to zero and sq == k here
+            # the remaining masses forced all residuals to zero and sq == k
             leaves += 1
-            candidate = GroupRingElement(table.n, table.partition.expand(assign))
+            vec = partition.expand(assign)
+            if not off_peak_vanishes(vec, shifts):
+                return
+            candidate = GroupRingElement(table.n, vec)
             if verify(candidate, k, bound):
                 verified_count += 1
                 canon = canonical_form(candidate)
@@ -179,31 +207,31 @@ def exhaust_pair(
                 if config.mode == "first":
                     stop_early = True
             return
-        oid, size, i, j = plan[idx]
-        nxt_row = suf_row[idx + 1][i]
-        nxt_col = suf_col[idx + 1][j]
-        nxt_sq = suf_sq[idx + 1]
-        for mult in mult_order:
-            nsq = sq + mult * mult * size
+        oid, i, j, nxt_row, nxt_col, nxt_sq, choices = steps[idx]
+        ri = r_res[i]
+        cj = c_res[j]
+        for mult, mass, sq_step in choices:
+            nsq = sq + sq_step
             if nsq > k or nsq + nxt_sq < k:
                 continue
-            nr = r_res[i] - mult * size
+            nr = ri - mass
             if nr > nxt_row or -nr > nxt_row:
                 continue
-            nc = c_res[j] - mult * size
+            nc = cj - mass
             if nc > nxt_col or -nc > nxt_col:
                 continue
             r_res[i] = nr
             c_res[j] = nc
             assign[oid] = mult
             rec(idx + 1, nsq)
-            r_res[i] = nr + mult * size
-            c_res[j] = nc + mult * size
-            assign[oid] = 0
             if stop_early or exhausted_budget:
-                return
+                break
+        r_res[i] = ri
+        c_res[j] = cj
+        assign[oid] = 0
 
     rec(0, 0)
+    del rec  # rec holds itself in its closure; free the walk's state now
     sols = tuple(found[key] for key in sorted(found))
     # count mode still carries the canonical forms so that class counts
     # merge correctly across margin pairs; the driver strips them

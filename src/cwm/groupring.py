@@ -185,14 +185,24 @@ def weight_profile(s: int) -> WeightProfile:
 def canonical_form(a: GroupRingElement) -> GroupRingElement:
     """Lexicographically least coefficient vector over the equivalence
     group generated by cyclic shifts, X -> X^t for gcd(t,n)=1, and
-    global negation."""
+    global negation.
+
+    A unit image equal to an earlier image or to its negation adds no new
+    rotation, so it is skipped; an element fixed by X -> X^t repeats each
+    image once per element of <t>."""
     n = a.order
     best: Optional[tuple[int, ...]] = None
+    seen: set[tuple[int, ...]] = set()
     for t in range(n):
         if math.gcd(t, n) != 1:
             continue
         mapped = power_map(a, t).coeffs
-        for vec in (mapped, tuple(-c for c in mapped)):
+        if mapped in seen:
+            continue
+        negated = tuple(-c for c in mapped)
+        seen.add(mapped)
+        seen.add(negated)
+        for vec in (mapped, negated):
             doubled = vec + vec
             least = min(doubled[s : s + n] for s in range(n))
             if best is None or least < best:

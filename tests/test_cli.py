@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from cwm import constructions
-from cwm.catalog import CatalogIntegrityError
 from cwm.cli import main
 from cwm.groupring import witness_format, witness_parse
 
@@ -308,12 +307,26 @@ class TestCatalog:
         (incoming / "cw7_4.cw").write_text(
             witness_format(constructions.CW7_4, 4, 1)
         )
-        with pytest.raises(CatalogIntegrityError):
-            main(["catalog", "import", str(incoming)])
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
+        code, out, err = run(capsys, "catalog", "import", str(incoming))
+        assert code == 2 and out == ""
+        err = err.splitlines()
+        assert len(err) == 3
         assert err[0].startswith("warning: malformed record skipped")
         assert err[1].startswith("warning: bad.cw: ")
+        assert err[2] == (
+            "error: (7,4): stored nonexistent [hand edit] vs new exists [imported cw7_4.cw]"
+        )
+
+    def test_seed_prints_load_warnings(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
+        run(capsys, "catalog", "seed")
+        (tmp_path / "cat" / "witnesses" / "cw7_4.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
+        code, out, err = run(capsys, "catalog", "seed")
+        assert code == 0 and out.startswith("seeded ")
+        assert err == (
+            "warning: witness for (7,4) quarantined: "
+            "witness does not verify against its record\n"
+        )
 
     def test_import_without_path_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cwm.exhaust import (
     CONTRACTED_SEARCH_CASES,
@@ -11,11 +12,13 @@ from cwm.exhaust import (
     derive_multiplier,
     exhaust_pair,
     icw_census,
+    off_peak_vanishes,
+    orbit_shifts,
     plan,
     search,
     side_margin_solutions,
 )
-from cwm.groupring import GroupRingElement, canonical_form, fold, verify
+from cwm.groupring import GroupRingElement, canonical_form, element, fold, verify, weight
 from cwm.margins import (
     fold_consistency_filter,
     lift_margin_solutions,
@@ -109,6 +112,43 @@ class TestExhaustPair:
             exhaust_pair(config, (3, 0, 0), (1, 6, -3))
 
 
+@st.composite
+def orbit_vectors(draw):
+    """(orbits of Z_n under a random unit t, the expansion of random orbit
+    values in -2..2): a vector fixed by x -> t*x."""
+    n = draw(st.integers(1, 40))
+    t = draw(st.sampled_from([u for u in range(1, n + 1) if math.gcd(u, n) == 1]))
+    part = orbits(n, t)
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(part), max_size=len(part)))
+    return part, part.expand(values)
+
+
+Z63 = orbits(63, 2)
+# the order-63 weight-16 matrix: +1 on {0}, <27>, <11> and -1 on <31>
+CW63_CASE = (Z63, Z63.expand([{0: 1, 27: 1, 11: 1, 31: -1}.get(rep, 0) for rep in Z63.reps]))
+
+
+class TestLeafRejection:
+    @settings(max_examples=300, deadline=None)
+    @given(case=orbit_vectors())
+    @example(case=CW63_CASE)
+    def test_orbit_shifts_decide_off_peak_autocorrelation(self, case):
+        part, vec = case
+        accepted = off_peak_vanishes(vec, orbit_shifts(part))
+        assert accepted == (weight(element(part.modulus, vec)) == sum(a * a for a in vec))
+
+    @pytest.mark.parametrize(
+        "n,t,shifts",
+        [
+            (7, 2, (1,)),  # <3> = -<1>
+            # 12 nonzero orbits: 5 pairs O, -O, and <7> = -<7>, <21> = -<21>
+            (63, 2, (1, 3, 5, 7, 9, 11, 21)),
+        ],
+    )
+    def test_one_shift_per_orbit_up_to_negation(self, n, t, shifts):
+        assert orbit_shifts(orbits(n, t)) == shifts
+
+
 class TestSearch:
     def test_order7_single_class(self, cw7):
         out = search(7, 4, multiplier=2)
@@ -180,6 +220,34 @@ class TestSearch:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             search(63, 16, jobs=jobs)
+
+
+class TestSearchCounters:
+    """Pinned nodes, leaves, verified leaves and classes: a change to the
+    walk's order or to its cuts moves them even when the classes stay."""
+
+    @pytest.mark.parametrize(
+        "n,k,kwargs,counts",
+        [
+            (104, 81, {}, (419127, 784, 0, 0)),
+            (110, 81, {}, (97, 0, 0, 0)),
+            (44, 81, dict(multiplier=3, coeff_bound=3), (284, 0, 0, 0)),
+        ],
+    )
+    def test_search(self, n, k, kwargs, counts):
+        out = search(n, k, **kwargs)
+        assert out.exhaustive
+        assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == counts
+
+    def test_census_row_105_36(self):
+        d, m = contraction_parameters(105, 36)
+        t = derive_multiplier(m, 36)
+        assert (d, m, t) == (3, 35, 4)
+        out = search(m, 36, multiplier=t, coeff_bound=d)
+        assert out.exhaustive
+        assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == (
+            291, 14, 2, 1
+        )
 
 
 class TestPlan:

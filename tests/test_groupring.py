@@ -26,6 +26,7 @@ from cwm.groupring import (
     witness_format,
     witness_parse,
 )
+from cwm.numbertheory import orbits
 
 
 def naive_convolution(a, b):
@@ -244,6 +245,17 @@ class TestCanonicalFormOracle:
     @given(coeffs=st.lists(st.integers(-2, 2), min_size=1, max_size=16))
     def test_matches_oracle(self, coeffs):
         a = element(len(coeffs), coeffs)
+        assert canonical_form(a) == canonical_form_oracle(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_multiplier_fixed_elements(self, data):
+        # an element fixed by X -> X^t repeats each unit image |<t>| times
+        n = data.draw(st.integers(1, 30))
+        t = data.draw(st.sampled_from([u for u in range(1, n + 1) if math.gcd(u, n) == 1]))
+        part = orbits(n, t)
+        values = data.draw(st.lists(st.integers(-2, 2), min_size=len(part), max_size=len(part)))
+        a = GroupRingElement(n, part.expand(values))
         assert canonical_form(a) == canonical_form_oracle(a)
 
     @pytest.mark.parametrize("coeffs", [(0,), (1,), (-2,), (1, 0), (0, -1), (1, -1)])
