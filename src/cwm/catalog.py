@@ -240,11 +240,17 @@ class Catalog:
         return record
 
     def import_dir(self, path: Path | str) -> list[CatalogRecord]:
-        """Register every valid witness file found in a directory."""
+        """Register every valid witness file found in a directory; a cell
+        keeps the verified witness it already holds."""
         added = []
         for file in sorted(Path(path).glob("*.cw")):
             try:
                 elem, k, _ = witness_parse(file.read_text())
+                if (elem.order, k) in self.witnesses and verify(elem, k, elem.max_abs_coeff()):
+                    self.warnings.append(
+                        f"{file.name}: ({elem.order},{k}) already has a verified witness; skipped"
+                    )
+                    continue
                 rec = self.upsert(
                     CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
                     element=elem,

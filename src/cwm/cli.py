@@ -266,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("orbits", help="render the orbit table")
+    p.set_defaults(run=cmd_orbits)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--multiplier", "-t", type=int, default=None)
@@ -273,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
 
     p = sub.add_parser("margins", help="solve the intersection-number systems")
+    p.set_defaults(run=cmd_margins)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--multiplier", "-t", type=int, default=None)
@@ -281,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
 
     p = sub.add_parser("search", help="exhaustive orbit search")
+    p.set_defaults(run=cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--multiplier", "-t", type=int, default=None)
@@ -291,19 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("verify", help="check a witness file")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("witness")
 
     p = sub.add_parser("fold", help="intersection numbers of a witness")
+    p.set_defaults(run=cmd_fold)
     p.add_argument("witness")
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("construct", help="build new matrices from old")
+    p.set_defaults(run=cmd_construct)
     p.add_argument("what", choices=("kronecker", "cw14m", "type2"))
     p.add_argument("inputs", nargs="*")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("catalog", help="result catalog")
+    p.set_defaults(run=cmd_catalog)
     p.add_argument("action", choices=("seed", "status", "table", "import", "close"))
     p.add_argument("path", nargs="?")
     p.add_argument("--n", type=int, default=None)
@@ -313,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", type=str, default=None)
 
     p = sub.add_parser("census", help="contracted searches for the open cases")
+    p.set_defaults(run=cmd_census)
     p.add_argument("--jobs", "-j", type=int, default=1)
     return ap
 
@@ -324,22 +332,8 @@ def main(argv=None) -> int:
     try:
         if args.seed_demo:
             code = seed_demo()
-        elif args.command == "orbits":
-            code = cmd_orbits(args)
-        elif args.command == "margins":
-            code = cmd_margins(args)
-        elif args.command == "search":
-            code = cmd_search(args)
-        elif args.command == "verify":
-            code = cmd_verify(args)
-        elif args.command == "fold":
-            code = cmd_fold(args)
-        elif args.command == "construct":
-            code = cmd_construct(args)
-        elif args.command == "catalog":
-            code = cmd_catalog(args)
-        elif args.command == "census":
-            code = cmd_census(args)
+        elif args.command:
+            code = args.run(args)
         else:
             ap.print_help()
             code = EXIT_USAGE

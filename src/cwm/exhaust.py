@@ -14,6 +14,7 @@ solutions are sound independent of the pruning.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext, suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from operator import mul
@@ -35,6 +36,10 @@ from .orbittable import OrbitTable, build, default_factorization
 
 class MethodInapplicable(Exception):
     """No multiplier is derivable and none was supplied."""
+
+
+class _Stop(Exception):
+    """Ends a pair's walk; raised and caught inside exhaust_pair only."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,8 @@ def exhaust_pair(
 
     r and c are scaled margin vectors (orbit-size weighted); their totals
     must both equal s.  A node budget turns the outcome inexhaustive
-    rather than silently truncating.
+    rather than silently truncating: the walk stops at the first node past
+    the budget, or in first mode at the first verified leaf.
     """
     table = config.table
     if len(r) != table.num_rows or len(c) != table.num_cols:
@@ -180,19 +186,14 @@ def exhaust_pair(
     nodes = 0
     leaves = 0
     verified_count = 0
-    budget = config.node_budget
-    exhausted_budget = False
+    limit = math.inf if config.node_budget is None else config.node_budget
     found: dict[tuple[int, ...], GroupRingElement] = {}
-    stop_early = False
 
     def rec(idx: int, sq: int):
-        nonlocal nodes, leaves, verified_count, exhausted_budget, stop_early
-        if stop_early or exhausted_budget:
-            return
+        nonlocal nodes, leaves, verified_count
         nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted_budget = True
-            return
+        if nodes > limit:
+            raise _Stop
         if idx == nplan:
             # the remaining masses forced all residuals to zero and sq == k
             leaves += 1
@@ -205,7 +206,7 @@ def exhaust_pair(
                 canon = canonical_form(candidate)
                 found.setdefault(canon.coeffs, canon)
                 if config.mode == "first":
-                    stop_early = True
+                    raise _Stop
             return
         oid, i, j, nxt_row, nxt_col, nxt_sq, choices = steps[idx]
         ri = r_res[i]
@@ -224,13 +225,12 @@ def exhaust_pair(
             c_res[j] = nc
             assign[oid] = mult
             rec(idx + 1, nsq)
-            if stop_early or exhausted_budget:
-                break
         r_res[i] = ri
         c_res[j] = cj
         assign[oid] = 0
 
-    rec(0, 0)
+    with suppress(_Stop):
+        rec(0, 0)
     del rec  # rec holds itself in its closure; free the walk's state now
     sols = tuple(found[key] for key in sorted(found))
     # count mode still carries the canonical forms so that class counts
@@ -241,7 +241,7 @@ def exhaust_pair(
         solutions_found=verified_count,
         nodes_visited=nodes,
         leaves_tested=leaves,
-        exhaustive=not exhausted_budget,
+        exhaustive=nodes <= limit,
     )
 
 
@@ -260,11 +260,6 @@ def side_margin_solutions(
         p**a for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
     )
     return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
-
-
-def _pair_task(args):
-    config, r, c = args
-    return exhaust_pair(config, r, c)
 
 
 def derive_multiplier(n: int, k: int) -> int:
@@ -331,20 +326,13 @@ def search(
     table = config.table
     row_sols, col_sols = config.margin_solutions()
     pairs = margins_mod.margin_pairs(row_sols, col_sols, table.row_orbits, table.col_orbits)
-    budgets = _split_budget(node_budget, len(pairs))
-
-    if jobs > 1 and mode != "first" and len(pairs) > 1:
-        tasks = [
-            (replace(config, node_budget=b), r, c)
-            for (r, c), b in zip(pairs, budgets)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_pair_task, tasks))
-    else:
+    configs = [replace(config, node_budget=b) for b in _split_budget(node_budget, len(pairs))]
+    parallel = jobs > 1 and mode != "first" and len(pairs) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         parts = []
-        for (r, c), b in zip(pairs, budgets):
-            parts.append(exhaust_pair(replace(config, node_budget=b), r, c))
-            if mode == "first" and parts[-1].classes:
+        for part in (pool.map if parallel else map)(exhaust_pair, configs, *zip(*pairs)):
+            parts.append(part)
+            if mode == "first" and part.classes:
                 break
     outcome = SearchOutcome.merge(parts)
     if mode == "count":

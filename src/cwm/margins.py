@@ -80,6 +80,7 @@ def solve_margin_system(s: int, k: int, orbit_sizes: Sequence[int], bound: int) 
         acc[i] = 0
 
     rec(0, 0, 0)
+    del rec  # rec holds itself in its closure; free the walk's state now
     return out
 
 
@@ -169,6 +170,31 @@ def _lift_level(
     vec = [0] * len(sizes)
     out: list[MarginSolution] = []
 
+    # one walk per level, over the target and floor the loop below sets
+    def rec(i: int, need: int, budget: int):
+        if i == len(plan):
+            if budget == 0:
+                out.append(MarginSolution(sizes, tuple(vec)))
+            return
+        oid, size, j, rest, capacity = plan[i]
+        if oid == group_start[j]:
+            need = target[j]
+        if rest:
+            values = choices
+        else:  # the group's last orbit takes what its target leaves
+            b, r = divmod(need, size)
+            values = (b,) if not r and abs(b) <= bound and not b % divisor else ()
+        for b in values:
+            nneed = need - b * size
+            nbudget = budget - b * b * size
+            # Cauchy-Schwarz on the group's later orbits, floors on later
+            # groups, and |b| <= bound on all later orbits
+            slack = nbudget - floor[j + 1]
+            if slack < 0 or nneed * nneed > slack * rest or nbudget > capacity:
+                continue
+            vec[oid] = b
+            rec(i + 1, nneed, nbudget)
+
     for sol in level:
         target = [len(members) * c for (_, members), c in zip(parent.orbits, sol.values)]
         # least square mass of groups j..: each of the |O'| fibres of p
@@ -178,32 +204,8 @@ def _lift_level(
             a, r = divmod(abs(sol.values[j]) // divisor, p)
             fibre = divisor * divisor * (r * (a + 1) ** 2 + (p - r) * a * a)
             floor[j] = floor[j + 1] + len(parent.orbits[j][1]) * fibre
-
-        def rec(i: int, need: int, budget: int):
-            if i == len(plan):
-                if budget == 0:
-                    out.append(MarginSolution(sizes, tuple(vec)))
-                return
-            oid, size, j, rest, capacity = plan[i]
-            if oid == group_start[j]:
-                need = target[j]
-            if rest:
-                values = choices
-            else:  # the group's last orbit takes what its target leaves
-                b, r = divmod(need, size)
-                values = (b,) if not r and abs(b) <= bound and not b % divisor else ()
-            for b in values:
-                nneed = need - b * size
-                nbudget = budget - b * b * size
-                # Cauchy-Schwarz on the group's later orbits, floors on later
-                # groups, and |b| <= bound on all later orbits
-                slack = nbudget - floor[j + 1]
-                if slack < 0 or nneed * nneed > slack * rest or nbudget > capacity:
-                    continue
-                vec[oid] = b
-                rec(i + 1, nneed, nbudget)
-
         rec(0, 0, k)
+    del rec  # rec holds itself in its closure; free the walk's state now
     return out
 
 

@@ -1,0 +1,52 @@
+"""The names the benchmark under bench/ reaches into the package by.
+
+bench/tracing.py wraps the functions of its TRACED table, and
+bench/workloads.py calls the public API; a rename in the package would
+only show up when the benchmark runs.  These tests read bench/ and
+change nothing there.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import cwm
+import cwm.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module,attr", [row[:2] for row in load_tracing().TRACED])
+def test_traced_function_resolves(module, attr):
+    assert module.split(".")[0] == "cwm"
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize(
+    "fn,args,kwargs",
+    [
+        (cwm.search, (63, 16), dict(multiplier=None, coeff_bound=1, mode="all", jobs=1)),
+        (cwm.icw_census, (), dict(cases=[(105, 36)], mode="all", jobs=1)),
+        (cwm.Catalog, ("root",), dict(n_max=2000, k_max=1600)),
+        (cwm.seed_known_results, ("root",), dict(n_max=2000, k_max=1600)),
+        (cwm.cli.main, (["margins", "--n", "144", "--k", "49"],), {}),
+    ],
+)
+def test_workload_calls_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_catalog_layout_names():
+    assert isinstance(cwm.catalog.RECORD_FILE, str)
+    assert isinstance(cwm.catalog.WITNESS_DIR, str)
+    assert isinstance(cwm.catalog.QUARANTINE_DIR, str)

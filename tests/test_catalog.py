@@ -1,3 +1,4 @@
+import importlib.resources
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from cwm.catalog import (
     RECORD_FILE,
     seed_known_results,
 )
-from cwm.groupring import verify, witness_format
+from cwm.groupring import proper_decomposition, verify, witness_format
 
 # records.tsv as seed_known_results wrote it before the catalog kept its
 # verified witness elements
@@ -139,6 +140,18 @@ class TestImport:
         assert cat.warnings == [
             "bad.cw: witness for (7,4) fails verification; upsert blocked"
         ]
+
+    def test_later_file_keeps_the_first_witness(self, tmp_path):
+        # cw26_9.cw is proper, cw26_9_multiple.cw the multiple of the
+        # (13,9) witness; the first file in name order holds the cell
+        bundled = importlib.resources.files("cwm").joinpath("data", "witnesses")
+        cat = Catalog(tmp_path)
+        added = cat.import_dir(str(bundled))
+        assert sorted((r.n, r.k) for r in added) == [(7, 4), (13, 9), (26, 9), (63, 16)]
+        assert cat.warnings == [
+            "cw26_9_multiple.cw: (26,9) already has a verified witness; skipped"
+        ]
+        assert proper_decomposition(cat.witness_element(26, 9)) is None
 
 
 class TestClosure:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -229,15 +230,25 @@ class TestSearchCounters:
     @pytest.mark.parametrize(
         "n,k,kwargs,counts",
         [
-            (104, 81, {}, (419127, 784, 0, 0)),
-            (110, 81, {}, (97, 0, 0, 0)),
-            (44, 81, dict(multiplier=3, coeff_bound=3), (284, 0, 0, 0)),
+            (104, 81, {}, (419127, 784, 0, 0, True)),
+            (110, 81, {}, (97, 0, 0, 0, True)),
+            (44, 81, dict(multiplier=3, coeff_bound=3), (284, 0, 0, 0, True)),
+            # the stop paths: first mode ends the search at its first class,
+            # a budget ends each pair's walk at the first node past its share
+            (63, 16, dict(mode="first"), (171, 2, 1, 1, True)),
+            (132, 25, dict(mode="first"), (76656, 13, 1, 1, True)),
+            (104, 81, dict(node_budget=1000), (1120, 0, 0, 0, False)),
+            (104, 81, dict(node_budget=1000, jobs=2), (1120, 0, 0, 0, False)),
+            (63, 16, dict(node_budget=5), (10, 0, 0, 0, False)),
+            (31, 25, dict(node_budget=1), (21, 0, 0, 0, False)),
         ],
     )
     def test_search(self, n, k, kwargs, counts):
         out = search(n, k, **kwargs)
-        assert out.exhaustive
-        assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == counts
+        assert (
+            out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes,
+            out.exhaustive,
+        ) == counts
 
     def test_census_row_105_36(self):
         d, m = contraction_parameters(105, 36)
@@ -248,6 +259,20 @@ class TestSearchCounters:
         assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == (
             291, 14, 2, 1
         )
+
+
+class TestNoCyclicGarbage:
+    def test_searches_leave_no_cycles(self):
+        # every recursive walk is freed when its search returns, so nothing
+        # waits for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            search(63, 16)
+            search(104, 81)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPlan:
