@@ -9,11 +9,23 @@ the multiplier, so its autocorrelation is constant on orbits: the leaf is
 rejected at the first orbit whose one shift gives a nonzero value.  Every
 leaf that survives is verified by the full convolution, so reported
 solutions are sound independent of the pruning.
+
+Every cut reads only the square mass and the row and column residuals,
+and when the walk opens a column the columns behind it are at zero and
+the ones ahead still hold their margins.  So the subtree below a
+column's first step is fixed by the step, the square mass and the row
+residuals.  A pair's walk records the node count of each such subtree
+that held no leaf, and on a repeat adds that count instead of walking it
+again: a leafless subtree verifies nothing and moves no other counter.
+nodes_visited therefore counts the nodes of the search tree, those of a
+skipped subtree included, and a budget stops the count where the full
+walk would have stopped.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext, suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -157,7 +169,8 @@ def exhaust_pair(
     # one step per orbit in visit order (column-major: right to left, bottom
     # to top, box orbits reversed), built back to front: the orbit, its row
     # and column, the row, column and square masses the later steps can
-    # still carry, and each multiplicity with its line and square mass
+    # still carry, each multiplicity with its line and square mass, and
+    # whether the step opens its column
     mult_order = _multiplicity_order(bound)
     choices_of = {
         size: tuple((mult, mult * size, mult * mult * size) for mult in mult_order)
@@ -171,10 +184,14 @@ def exhaust_pair(
         for i in range(table.num_rows):
             for oid in table.boxes[i][j]:
                 size = table.orbit_size(oid)
-                steps.append((oid, i, j, row_mass[i], col_mass[j], sq_mass, choices_of[size]))
+                steps.append(
+                    (oid, i, j, row_mass[i], col_mass[j], sq_mass, choices_of[size], False)
+                )
                 row_mass[i] += bound * size
                 col_mass[j] += bound * size
                 sq_mass += bound * bound * size
+        # every column holds an orbit; its last step built is its first visited
+        steps[-1] = (*steps[-1][:-1], True)
     steps.reverse()
     nplan = len(steps)
 
@@ -186,8 +203,11 @@ def exhaust_pair(
     nodes = 0
     leaves = 0
     verified_count = 0
-    limit = math.inf if config.node_budget is None else config.node_budget
+    limit = sys.maxsize if config.node_budget is None else config.node_budget
     found: dict[tuple[int, ...], GroupRingElement] = {}
+    # node count of each leafless subtree below a column's first step, by
+    # (step, square mass, row residuals), which fix it (module docstring)
+    leafless: dict[tuple[int, ...], int] = {}
 
     def rec(idx: int, sq: int):
         nonlocal nodes, leaves, verified_count
@@ -208,7 +228,20 @@ def exhaust_pair(
                 if config.mode == "first":
                     raise _Stop
             return
-        oid, i, j, nxt_row, nxt_col, nxt_sq, choices = steps[idx]
+        oid, i, j, nxt_row, nxt_col, nxt_sq, choices, opens = steps[idx]
+        if opens:
+            key = (idx, sq, *r_res)
+            size = leafless.get(key)
+            if size is not None:
+                # the walk would visit size nodes here and move no other
+                # counter, stopping at the first node past the budget
+                nodes += size - 1
+                if nodes > limit:
+                    nodes = limit + 1
+                    raise _Stop
+                return
+            nodes_at = nodes
+            leaves_at = leaves
         ri = r_res[i]
         cj = c_res[j]
         for mult, mass, sq_step in choices:
@@ -228,6 +261,8 @@ def exhaust_pair(
         r_res[i] = ri
         c_res[j] = cj
         assign[oid] = 0
+        if opens and leaves == leaves_at:
+            leafless[key] = nodes - nodes_at + 1
 
     with suppress(_Stop):
         rec(0, 0)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,6 +64,68 @@ def reference_classes(n, k, fold_consistency, symmetry_reduction):
     for r, c in pairs:
         classes |= {sol.coeffs for sol in exhaust_pair(config, r, c).solutions}
     return classes
+
+
+class _OracleStop(Exception):
+    pass
+
+
+def exhaust_pair_oracle(config, r, c):
+    """The earlier exhaust_pair walk, which visits every node of the search
+    tree and verifies every leaf by the full convolution.  Returns (nodes,
+    leaves, verified leaves, classes, exhaustive) and the class set."""
+    table, bound, k = config.table, config.coeff_bound, config.k
+    partition = table.partition
+    mults = (0,) + tuple(sign * v for v in range(1, bound + 1) for sign in (1, -1))
+    steps = []
+    row_mass = [0] * table.num_rows
+    col_mass = [0] * table.num_cols
+    sq_mass = 0
+    for j in range(table.num_cols):
+        for i in range(table.num_rows):
+            for oid in table.boxes[i][j]:
+                size = table.orbit_size(oid)
+                steps.append((oid, i, j, size, row_mass[i], col_mass[j], sq_mass))
+                row_mass[i] += bound * size
+                col_mass[j] += bound * size
+                sq_mass += bound * bound * size
+    steps.reverse()
+    r_res, c_res = list(r), list(c)
+    assign = [0] * len(partition)
+    limit = math.inf if config.node_budget is None else config.node_budget
+    nodes = leaves = verified = 0
+    found = set()
+
+    def rec(idx, sq):
+        nonlocal nodes, leaves, verified
+        nodes += 1
+        if nodes > limit:
+            raise _OracleStop
+        if idx == len(steps):
+            leaves += 1
+            candidate = GroupRingElement(table.n, partition.expand(assign))
+            if verify(candidate, k, bound):
+                verified += 1
+                found.add(canonical_form(candidate).coeffs)
+                if config.mode == "first":
+                    raise _OracleStop
+            return
+        oid, i, j, size, nxt_row, nxt_col, nxt_sq = steps[idx]
+        ri, cj = r_res[i], c_res[j]
+        for mult in mults:
+            nsq = sq + mult * mult * size
+            nr, nc = ri - mult * size, cj - mult * size
+            if nsq > k or nsq + nxt_sq < k or abs(nr) > nxt_row or abs(nc) > nxt_col:
+                continue
+            r_res[i], c_res[j], assign[oid] = nr, nc, mult
+            rec(idx + 1, nsq)
+        r_res[i], c_res[j], assign[oid] = ri, cj, 0
+
+    try:
+        rec(0, 0)
+    except _OracleStop:
+        pass
+    return (nodes, leaves, verified, len(found), nodes <= limit), found
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +304,14 @@ class TestSearchCounters:
             (104, 81, dict(node_budget=1000, jobs=2), (1120, 0, 0, 0, False)),
             (63, 16, dict(node_budget=5), (10, 0, 0, 0, False)),
             (31, 25, dict(node_budget=1), (21, 0, 0, 0, False)),
+            # census row (156,81): ICW_3(52,81), whose walk repeats many
+            # leafless subtrees
+            (52, 81, dict(multiplier=3, coeff_bound=3), (520388, 5568, 132, 33, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (2570, 26, 1, 1, True)),
+            (
+                52, 81, dict(multiplier=3, coeff_bound=3, node_budget=100000),
+                (100025, 1336, 39, 20, False),
+            ),
         ],
     )
     def test_search(self, n, k, kwargs, counts):
@@ -261,6 +332,41 @@ class TestSearchCounters:
         )
 
 
+class TestLeaflessSubtrees:
+    """exhaust_pair counts a repeated leafless subtree without walking it
+    again; under every budget and in first mode its counters and classes
+    match the walk that visits every node."""
+
+    @pytest.mark.parametrize(
+        "n,k,multiplier,coeff_bound,index,budgets",
+        [
+            (63, 16, None, 1, 2, None),  # every budget 1..N
+            (104, 81, None, 1, 56, 50),
+            (52, 81, 3, 3, 10, 50),
+        ],
+    )
+    def test_budget_sweep_matches_full_walk(self, n, k, multiplier, coeff_bound, index, budgets):
+        config = plan(n, k, multiplier, coeff_bound)
+        table = config.table
+        pairs = margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
+        r, c = pairs[index]
+        total = exhaust_pair_oracle(config, r, c)[0][0]
+        if budgets is None:
+            sweep = range(1, total + 1)
+        else:
+            sweep = sorted({1 + (total - 1) * step // (budgets - 1) for step in range(budgets)})
+        configs = [replace(config, node_budget=b) for b in sweep]
+        for cfg in configs + [config, replace(config, mode="first")]:
+            out = exhaust_pair(cfg, r, c)
+            counts = (
+                out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes,
+                out.exhaustive,
+            )
+            assert (counts, {sol.coeffs for sol in out.solutions}) == exhaust_pair_oracle(
+                cfg, r, c
+            ), cfg.node_budget
+
+
 class TestNoCyclicGarbage:
     def test_searches_leave_no_cycles(self):
         # every recursive walk is freed when its search returns, so nothing
@@ -270,6 +376,7 @@ class TestNoCyclicGarbage:
         try:
             search(63, 16)
             search(104, 81)
+            search(52, 81, multiplier=3, coeff_bound=3)
             assert gc.collect() == 0
         finally:
             gc.enable()
