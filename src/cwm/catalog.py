@@ -3,7 +3,8 @@
 Layout on disk: a single tab-separated record file plus a witness
 directory.  One line per (n, k): status is "exists", "nonexistent", or
 "open"; exists records normally carry a witness file that re-verifies on
-every load (corrupt files are quarantined, never silently dropped).
+every load as a {0, +-1} CW (corrupt files, and files declaring a larger
+coefficient bound, are quarantined, never silently dropped).
 The catalog keeps the element of every witness it has verified, on load
 or on write, and works from those elements rather than the files.
 Records only ever get stronger: open cells may be settled, but a
@@ -137,7 +138,9 @@ class Catalog:
         path = self.root / rec.witness
         try:
             elem, k, bound = witness_parse(path.read_text())
-            if k != rec.k or elem.order != rec.n or not verify(elem, k, bound):
+            if bound != 1:
+                raise WitnessFormatError(f"witness declares coefficient bound {bound}, not 1")
+            if k != rec.k or elem.order != rec.n or not verify(elem, k):
                 raise WitnessFormatError("witness does not verify against its record")
             self.witnesses[(rec.n, rec.k)] = elem
             return rec
@@ -220,15 +223,14 @@ class Catalog:
         if element is not None:
             if element.order != record.n:
                 raise ValueError("witness order does not match the record")
-            bound = element.max_abs_coeff()
-            if not verify(element, record.k, bound):
+            if not verify(element, record.k):
                 raise ValueError(
                     f"witness for ({record.n},{record.k}) fails verification; upsert blocked"
                 )
             wdir = self.root / WITNESS_DIR
             wdir.mkdir(parents=True, exist_ok=True)
             name = f"{WITNESS_DIR}/cw{record.n}_{record.k}.cw"
-            (self.root / name).write_text(witness_format(element, record.k, bound))
+            (self.root / name).write_text(witness_format(element, record.k))
             self.witnesses[(record.n, record.k)] = element
             return replace(record, witness=name)
         if record.witness is not None or "external" not in record.provenance:
@@ -246,7 +248,7 @@ class Catalog:
         for file in sorted(Path(path).glob("*.cw")):
             try:
                 elem, k, _ = witness_parse(file.read_text())
-                if (elem.order, k) in self.witnesses and verify(elem, k, elem.max_abs_coeff()):
+                if (elem.order, k) in self.witnesses and verify(elem, k):
                     self.warnings.append(
                         f"{file.name}: ({elem.order},{k}) already has a verified witness; skipped"
                     )
@@ -283,7 +285,7 @@ class Catalog:
 
     def _candidates(self, witnessed):
         """(n, k, provenance, builder) of every multiple, then every coprime
-        product, of the given witnesses within the window."""
+        product, of the given witnesses (sorted by (n, k)) within the window."""
         for (n, k), elem in witnessed:
             for d in range(2, self.n_max // n + 1):
                 yield (
@@ -292,7 +294,9 @@ class Catalog:
                 )
         for idx, ((n1, k1), e1) in enumerate(witnessed):
             for (n2, k2), e2 in witnessed[idx + 1 :]:
-                if math.gcd(n1, n2) == 1 and n1 * n2 <= self.n_max and k1 * k2 <= self.k_max:
+                if n1 * n2 > self.n_max:
+                    break  # witnessed is sorted by order, so every later n2 is too big
+                if math.gcd(n1, n2) == 1 and k1 * k2 <= self.k_max:
                     yield (
                         n1 * n2, k1 * k2,
                         f"product of the ({n1},{k1}) and ({n2},{k2}) witnesses",

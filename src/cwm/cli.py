@@ -85,6 +85,11 @@ def cmd_margins(args) -> int:
     return EXIT_OK
 
 
+def _kind(n: int, k: int, bound: int) -> str:
+    """CW(n,k) for an honest weighing matrix, ICW_bound(n,k) otherwise."""
+    return f"CW({n},{k})" if bound == 1 else f"ICW_{bound}({n},{k})"
+
+
 def cmd_search(args) -> int:
     outcome = search(
         args.n,
@@ -95,11 +100,8 @@ def cmd_search(args) -> int:
         node_budget=args.node_budget,
         jobs=args.jobs,
     )
-    kind = f"CW({args.n},{args.k})" if args.coeff_bound == 1 else (
-        f"ICW_{args.coeff_bound}({args.n},{args.k})"
-    )
     print(
-        f"{kind}: {outcome.classes} equivalence classes "
+        f"{_kind(args.n, args.k, args.coeff_bound)}: {outcome.classes} equivalence classes "
         f"({outcome.solutions_found} solutions found, "
         f"{outcome.leaves_tested} candidates tested, {outcome.nodes_visited} nodes)"
     )
@@ -122,7 +124,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     elem, k, bound = _read_witness(args.witness)
     ok = verify(elem, k, bound)
-    kind = f"CW({elem.order},{k})" if bound == 1 else f"ICW_{bound}({elem.order},{k})"
+    kind = _kind(elem.order, k, bound)
     if not ok:
         print(f"{kind}: FAILED verification")
         return EXIT_NONE
@@ -155,9 +157,10 @@ def cmd_construct(args) -> int:
             out, k = constructions.kronecker(a, b), ka * kb
         else:
             out, k = constructions.type_ii(a, b), 4 * ka
-    print(f"constructed CW({out.order},{k}): {out}")
+    bound = out.max_abs_coeff()
+    print(f"constructed {_kind(out.order, k, bound)}: {out}")
     if args.out:
-        Path(args.out).write_text(witness_format(out, k, 1))
+        Path(args.out).write_text(witness_format(out, k, bound))
         print(f"witness written to {args.out}")
     return EXIT_OK
 

@@ -30,8 +30,7 @@ def multiple(b: GroupRingElement, d: int) -> GroupRingElement:
         raise ValueError(f"d must be >= 1, got {d}")
     n = b.order * d
     coeffs = [0] * n
-    for i, c in enumerate(b.coeffs):
-        coeffs[d * i] = c
+    coeffs[::d] = b.coeffs
     return GroupRingElement(n, tuple(coeffs))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -36,7 +37,7 @@ class GroupRingElement:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.coeffs) if a)
+        return tuple(compress(range(self.order), self.coeffs))
 
     @property
     def positives(self) -> tuple[int, ...]:
@@ -47,7 +48,8 @@ class GroupRingElement:
         return tuple(i for i, a in enumerate(self.coeffs) if a < 0)
 
     def max_abs_coeff(self) -> int:
-        return max((abs(a) for a in self.coeffs), default=0)
+        c = self.coeffs  # never empty: the order is at least 1
+        return max(max(c), -min(c))
 
     def coefficient_sum(self) -> int:
         return sum(self.coeffs)
@@ -112,11 +114,10 @@ def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
     t need not be coprime to n; when gcd(t, n) = d > 1 the coefficients
     accumulate on the subgroup of multiples of d.
     """
-    n = a.order
+    n, coeffs = a.order, a.coeffs
     out = [0] * n
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            out[(i * t) % n] += ai
+    for i in compress(range(n), coeffs):
+        out[(i * t) % n] += coeffs[i]
     return GroupRingElement(n, tuple(out))
 
 
@@ -154,9 +155,17 @@ def fold(a: GroupRingElement, m: int) -> GroupRingElement:
 
 def weight(a: GroupRingElement) -> Optional[int]:
     """The k with A * conjugate(A) = k, or None when the product has a
-    nonzero coefficient off X^0 (A is no weighing matrix)."""
-    prod = multiply(a, conjugate(a))
-    return None if any(prod.coeffs[1:]) else prod.coeffs[0]
+    nonzero coefficient off X^0 (A is no weighing matrix).
+
+    The autocorrelation sum runs over the support only, so a sparse
+    witness of large order costs O(k^2) products plus O(n) C-level scans."""
+    n, coeffs = a.order, a.coeffs
+    terms = [(i, coeffs[i]) for i in compress(range(n), coeffs)]
+    acc = [0] * n
+    for i, ai in terms:
+        for j, aj in terms:
+            acc[i - j] += ai * aj  # a negative index wraps to (i - j) mod n
+    return None if any(acc[1:]) else acc[0]
 
 
 def verify(a: GroupRingElement, k: int, coeff_bound: int = 1) -> bool:
@@ -278,6 +287,6 @@ def witness_parse(text: str) -> tuple[GroupRingElement, int, int]:
         raise WitnessFormatError("non-integer coefficient") from exc
     if len(coeffs) != n:
         raise WitnessFormatError(f"expected {n} coefficients, got {len(coeffs)}")
-    if any(abs(c) > bound for c in coeffs):
+    if max(max(coeffs), -min(coeffs)) > bound:  # n >= 1, so coeffs is not empty
         raise WitnessFormatError(f"coefficient exceeds bound {bound}")
     return GroupRingElement(n, tuple(coeffs)), k, bound

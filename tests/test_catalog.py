@@ -1,4 +1,6 @@
 import importlib.resources
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from cwm.catalog import (
     RECORD_FILE,
     seed_known_results,
 )
-from cwm.groupring import proper_decomposition, verify, witness_format
+from cwm.constructions import multiple
+from cwm.groupring import GroupRingElement, element, proper_decomposition, verify, witness_format
 
 # records.tsv as seed_known_results wrote it before the catalog kept its
 # verified witness elements
@@ -48,6 +51,15 @@ class TestUpsert:
         cat = Catalog(tmp_path)
         with pytest.raises(ValueError):
             cat.upsert(CatalogRecord(7, 5, "exists", None, "wrong k"), element=cw7)
+
+    def test_integer_weighing_matrix_blocked(self, tmp_path, cw7):
+        # 2 * cw7 is an ICW_2(7,16), which is no CW(7,16): k > n
+        cat = Catalog(tmp_path)
+        doubled = element(7, [2 * c for c in cw7.coeffs])
+        with pytest.raises(ValueError, match="fails verification"):
+            cat.upsert(CatalogRecord(7, 16, "exists", None, "doubled"), element=doubled)
+        assert cat.status(7, 16) == "open"
+        assert not (tmp_path / "witnesses" / "cw7_16.cw").exists()
 
     def test_downgrade_ignored(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
@@ -91,6 +103,20 @@ class TestPersistence:
         assert (tmp_path / "witnesses" / "quarantine" / "cw7_4.cw").exists()
         assert "quarantined" in again.record(7, 4).provenance
         assert again.witness_element(7, 4) is None
+
+    def test_witness_with_bound_above_one_quarantined(self, tmp_path):
+        (tmp_path / RECORD_FILE).write_text(
+            "7\t16\texists\twitnesses/cw7_16.cw\thand edit\n"
+        )
+        (tmp_path / "witnesses").mkdir()
+        (tmp_path / "witnesses" / "cw7_16.cw").write_text("CW 7 16 2\n-2 2 2 0 2 0 0\n")
+        cat = Catalog(tmp_path)
+        assert cat.warnings == [
+            "witness for (7,16) quarantined: witness declares coefficient bound 2, not 1"
+        ]
+        assert (tmp_path / "witnesses" / "quarantine" / "cw7_16.cw").exists()
+        assert cat.record(7, 16).witness is None
+        assert cat.witness_element(7, 16) is None
 
     def test_unknown_cell_reads_open(self, tmp_path):
         assert Catalog(tmp_path).status(57, 49) == "open"
@@ -140,6 +166,17 @@ class TestImport:
         assert cat.warnings == [
             "bad.cw: witness for (7,4) fails verification; upsert blocked"
         ]
+
+    def test_integer_weighing_matrix_refused(self, tmp_path):
+        src = tmp_path / "incoming"
+        src.mkdir()
+        (src / "icw7.cw").write_text("CW 7 16 2\n-2 2 2 0 2 0 0\n")
+        cat = Catalog(tmp_path / "cat")
+        assert cat.import_dir(src) == []
+        assert cat.warnings == [
+            "icw7.cw: witness for (7,16) fails verification; upsert blocked"
+        ]
+        assert cat.status(7, 16) == "open"
 
     def test_later_file_keeps_the_first_witness(self, tmp_path):
         # cw26_9.cw is proper, cw26_9_multiple.cw the multiple of the
@@ -197,6 +234,47 @@ class TestClosure:
         added = again.close_under_constructions()
         assert [(r.n, r.k) for r in added] == [(14, 4), (21, 4), (28, 4)]
         assert again.witness_element(7, 4) == cw7
+
+
+def candidates_oracle(cat, witnessed):
+    """The earlier _candidates without its early break: every pair of
+    witnesses is tested against the window."""
+    for (n, k), _ in witnessed:
+        for d in range(2, cat.n_max // n + 1):
+            yield d * n, k, f"multiple of the ({n},{k}) witness"
+    for idx, ((n1, k1), _) in enumerate(witnessed):
+        for (n2, k2), _ in witnessed[idx + 1 :]:
+            if math.gcd(n1, n2) == 1 and n1 * n2 <= cat.n_max and k1 * k2 <= cat.k_max:
+                yield n1 * n2, k1 * k2, f"product of the ({n1},{k1}) and ({n2},{k2}) witnesses"
+
+
+def multiple_oracle(b, d):
+    """The earlier multiple: one index at a time."""
+    coeffs = [0] * (b.order * d)
+    for i, c in enumerate(b.coeffs):
+        coeffs[d * i] = c
+    return GroupRingElement(b.order * d, tuple(coeffs))
+
+
+class TestCandidatesOracle:
+    # at (91, 36) the product of the (7,4) and (13,9) witnesses sits on both edges
+    @pytest.mark.parametrize(
+        "window", [(200, 100), (2000, 1600), (91, 36)], ids=["default", "bench", "edge"]
+    )
+    def test_same_candidates_in_the_same_order(self, tmp_path, window):
+        n_max, k_max = window
+        cat = seed_known_results(tmp_path, n_max=n_max, k_max=k_max)
+        witnessed = sorted(cat.witnesses.items())
+        got = [(n, k, prov) for n, k, prov, _ in cat._candidates(witnessed)]
+        assert got == list(candidates_oracle(cat, witnessed))
+        assert any(prov.startswith("product") for _, _, prov in got)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_multiple_matches_index_loop(self, cw7, cw63, d):
+        rng = random.Random(d)
+        icw = element(11, [rng.randint(-3, 3) for _ in range(11)])
+        for b in (cw7, cw63, icw, element(1, [-2])):
+            assert multiple(b, d) == multiple_oracle(b, d)
 
 
 @pytest.fixture(scope="module")

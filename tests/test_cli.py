@@ -215,6 +215,21 @@ class TestConstruct:
         elem, k, _ = witness_parse(target.read_text())
         assert (elem.order, k) == (91, 36)
 
+    def test_integer_product_written_with_its_bound(self, capsys, tmp_path):
+        icw = tmp_path / "icw7.cw"
+        icw.write_text("CW 7 16 2\n-2 2 2 0 2 0 0\n")
+        target = tmp_path / "out.cw"
+        code, out, _ = run(
+            capsys, "construct", "kronecker", str(icw), witness_path("cw13_9.cw"),
+            "--out", str(target),
+        )
+        assert code == 0
+        assert out.startswith("constructed ICW_2(91,144): ")
+        assert target.read_text().startswith("CW 91 144 2\n")
+        code, out, _ = run(capsys, "verify", str(target))
+        assert code == 0
+        assert out.startswith("ICW_2(91,144): OK")
+
     def test_cw14m(self, capsys):
         code, out, _ = run(capsys, "construct", "cw14m", "--m", "3")
         assert code == 0

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cwm.groupring import (
     GroupRingElement,
@@ -175,6 +175,57 @@ class TestWeight:
         assert weight(a) == (None if any(prod[1:]) else prod[0])
 
 
+# witnesses are long and sparse: orders up to 2000 with at most 40 terms
+sparse_elements = st.integers(1, 2000).flatmap(
+    lambda n: st.dictionaries(
+        st.integers(0, n - 1), st.integers(-3, 3), max_size=40
+    ).map(lambda terms: element(n, [terms.get(i, 0) for i in range(n)]))
+)
+
+
+def with_order_one(**extra):
+    """Add the order-1 elements 0, 1 and -3 as explicit examples."""
+    def decorate(test):
+        for c in (0, 1, -3):
+            test = example(a=element(1, [c]), **extra)(test)
+        return test
+    return decorate
+
+
+class TestSparseKernelOracles:
+    """The support-only kernels against the dense expressions they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @with_order_one()
+    @given(a=sparse_elements)
+    def test_weight(self, a):
+        prod = naive_convolution(a, conjugate(a)).coeffs
+        assert weight(a) == (None if any(prod[1:]) else prod[0])
+
+    @settings(max_examples=200, deadline=None)
+    @with_order_one()
+    @given(a=sparse_elements)
+    def test_max_abs_coeff(self, a):
+        assert a.max_abs_coeff() == max((abs(c) for c in a.coeffs), default=0)
+
+    @settings(max_examples=200, deadline=None)
+    @with_order_one()
+    @given(a=sparse_elements)
+    def test_support(self, a):
+        assert a.support == tuple(i for i, c in enumerate(a.coeffs) if c)
+
+    @settings(max_examples=200, deadline=None)
+    @with_order_one(t=-1)
+    @given(a=sparse_elements, t=st.integers(-4000, 4000))
+    def test_power_map(self, a, t):
+        n = a.order
+        out = [0] * n
+        for i, c in enumerate(a.coeffs):
+            if c:
+                out[(i * t) % n] += c
+        assert power_map(a, t).coeffs == tuple(out)
+
+
 class TestWeightProfile:
     @pytest.mark.parametrize(
         "s,k,pos,neg", [(2, 4, 3, 1), (1, 1, 1, 0), (9, 81, 45, 36)]
@@ -313,6 +364,8 @@ class TestWitnessFormat:
         [
             "CW 7 4 1\n-1 1 1 0 1 0\n",  # wrong count
             "CW 7 4 1\n-2 1 1 0 1 0 0\n",  # out of bound
+            "CW 7 4 1\n2 1 1 0 1 0 0\n",  # out of bound, positive
+            "CW 7 4 2\n3 1 1 0 1 0 0\n",  # out of a bound above 1
             "XX 7 4 1\n-1 1 1 0 1 0 0\n",  # bad magic
             "CW 7 4\n-1 1 1 0 1 0 0\n",  # short header
             "CW 7 4 1\n",  # missing body
