@@ -31,14 +31,8 @@ from .numbertheory import (
     orbits,
     prime_power_multiplier,
 )
-from .orbittable import OrbitTable, build, margin_of, reconstruct
-from .margins import (
-    MarginSolution,
-    fold_consistency_filter,
-    margin_pairs,
-    self_conjugacy_filter,
-    solve_margin_system,
-)
+from .orbittable import OrbitTable, build
+from .margins import MarginSolution, fold_consistency_filter, margin_pairs
 from .exhaust import (
     CensusRow,
     MethodInapplicable,

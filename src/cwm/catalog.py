@@ -307,8 +307,10 @@ class Catalog:
 
     def render_table(self, n_max: Optional[int] = None, k_max: Optional[int] = None) -> str:
         """One row per s = sqrt(k): E = exists, - = nonexistent, ? = open."""
-        n_max = n_max or self.n_max
-        k_max = k_max or self.k_max
+        n_max = self.n_max if n_max is None else n_max
+        k_max = self.k_max if k_max is None else k_max
+        if n_max < 1 or k_max < 1:
+            raise ValueError(f"table bounds must be >= 1, got n_max={n_max}, k_max={k_max}")
         lines = ["existence by weight row (E exists, - nonexistent, ? open)"]
         tens = "".join(str((n // 10) % 10) if n % 10 == 0 else " " for n in range(1, n_max + 1))
         lines.append(" " * 7 + tens)

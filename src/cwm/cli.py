@@ -91,12 +91,13 @@ def _kind(n: int, k: int, bound: int) -> str:
 
 
 def cmd_search(args) -> int:
+    count = args.mode == "count"  # an all-mode search that lists no classes
     outcome = search(
         args.n,
         args.k,
         multiplier=args.multiplier,
         coeff_bound=args.coeff_bound,
-        mode=args.mode,
+        mode="all" if count else args.mode,
         node_budget=args.node_budget,
         jobs=args.jobs,
     )
@@ -105,11 +106,12 @@ def cmd_search(args) -> int:
         f"({outcome.solutions_found} solutions found, "
         f"{outcome.leaves_tested} candidates tested, {outcome.nodes_visited} nodes)"
     )
-    for sol in outcome.solutions:
+    solutions = () if count else outcome.solutions
+    for sol in solutions:
         print(f"  {sol}")
-    if args.out and outcome.solutions:
+    if args.out and solutions:
         Path(args.out).write_text(
-            witness_format(outcome.solutions[0], args.k, args.coeff_bound)
+            witness_format(solutions[0], args.k, args.coeff_bound)
         )
         print(f"witness written to {args.out}")
     if not outcome.exhaustive:

@@ -38,10 +38,10 @@ from .numbertheory import (
     OrbitPartition,
     coprime_part,
     factorize,
-    is_self_conjugate,
     mcfarland_multiplier,
     multiplicative_order,
     prime_power_multiplier,
+    self_conjugacy_divisor,
 )
 from .orbittable import OrbitTable, build, default_factorization
 
@@ -62,7 +62,7 @@ class SearchConfig:
     table: OrbitTable
     k: int
     coeff_bound: int = 1
-    mode: str = "all"  # "first" | "all" | "count"
+    mode: str = "all"  # "first" | "all"
     node_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ class SearchConfig:
             raise ValueError("coeff_bound must be >= 1")
         if self.s * self.s != self.k:
             raise ValueError(f"k = {self.k} is not a perfect square")
-        if self.mode not in ("first", "all", "count"):
+        if self.mode not in ("first", "all"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
@@ -98,11 +98,15 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchOutcome:
     solutions: tuple[GroupRingElement, ...]  # canonical forms, deduplicated
-    classes: int
     solutions_found: int  # verified leaves before deduplication
     nodes_visited: int
     leaves_tested: int
     exhaustive: bool
+
+    @property
+    def classes(self) -> int:
+        """The number of equivalence classes found."""
+        return len(self.solutions)
 
     @staticmethod
     def merge(parts: Sequence["SearchOutcome"]) -> "SearchOutcome":
@@ -114,7 +118,6 @@ class SearchOutcome:
                 found.setdefault(sol.coeffs, sol)
         return SearchOutcome(
             solutions=tuple(found[key] for key in sorted(found)),
-            classes=len(found),
             solutions_found=sum(part.solutions_found for part in parts),
             nodes_visited=sum(part.nodes_visited for part in parts),
             leaves_tested=sum(part.leaves_tested for part in parts),
@@ -267,22 +270,13 @@ def exhaust_pair(
     with suppress(_Stop):
         rec(0, 0)
     del rec  # rec holds itself in its closure; free the walk's state now
-    sols = tuple(found[key] for key in sorted(found))
-    # count mode still carries the canonical forms so that class counts
-    # merge correctly across margin pairs; the driver strips them
     return SearchOutcome(
-        solutions=sols,
-        classes=len(found),
+        solutions=tuple(found[key] for key in sorted(found)),
         solutions_found=verified_count,
         nodes_visited=nodes,
         leaves_tested=leaves,
         exhaustive=nodes <= limit,
     )
-
-
-def _sc_exponents(k: int) -> list[tuple[int, int]]:
-    """(p, a) pairs with p^(2a) dividing k maximally, a >= 1."""
-    return [(p, e // 2) for p, e in factorize(k).items() if e >= 2]
 
 
 def side_margin_solutions(
@@ -291,9 +285,7 @@ def side_margin_solutions(
     """Margin solutions for one fold, after every sound filter: the
     solutions of the fold equation lifted through the quotients of the
     fold, each b divisible by the self-conjugacy divisor."""
-    divisor = math.prod(
-        p**a for p, a in _sc_exponents(k) if is_self_conjugate(p, partition.modulus)
-    )
+    divisor = self_conjugacy_divisor(k, partition.modulus)
     return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
 
 
@@ -331,8 +323,6 @@ def plan(
         raise ValueError(f"k = {k} is not a perfect square")
     if multiplier is None:
         multiplier = derive_multiplier(n, k)
-    if math.gcd(multiplier, n) != 1:
-        raise ValueError(f"multiplier {multiplier} is not coprime to {n}")
     d, m = factorization or default_factorization(n, k, multiplier) or (1, n)
     return SearchConfig(table=build(n, d, m, multiplier), k=k, coeff_bound=coeff_bound)
 
@@ -369,10 +359,7 @@ def search(
             parts.append(part)
             if mode == "first" and part.classes:
                 break
-    outcome = SearchOutcome.merge(parts)
-    if mode == "count":
-        outcome = replace(outcome, solutions=())
-    return outcome
+    return SearchOutcome.merge(parts)
 
 
 def _split_budget(total: Optional[int], parts: int) -> list[Optional[int]]:
@@ -429,7 +416,7 @@ def contraction_parameters(n: int, k: int) -> tuple[int, int]:
 
 def icw_census(
     cases: Sequence[tuple[int, int]] = CONTRACTED_SEARCH_CASES,
-    mode: str = "count",
+    mode: str = "all",
     jobs: int = 1,
 ) -> list[CensusRow]:
     """Run the contracted search for each (n, k) case; zero classes for

@@ -51,9 +51,6 @@ class GroupRingElement:
         c = self.coeffs  # never empty: the order is at least 1
         return max(max(c), -min(c))
 
-    def coefficient_sum(self) -> int:
-        return sum(self.coeffs)
-
     def __str__(self):
         terms = []
         for i, a in enumerate(self.coeffs):

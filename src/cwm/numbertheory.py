@@ -54,9 +54,9 @@ def orbits(n: int, t: int) -> OrbitPartition:
     """Orbits of Z_n under multiplication by t; requires gcd(t, n) = 1."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    t %= n
     if math.gcd(t, n) != 1:
         raise ValueError(f"multiplier {t} is not coprime to {n}")
+    t %= n
     seen = [False] * n
     orbs = []
     for a in range(n):
@@ -83,9 +83,9 @@ def multiplicative_order(t: int, n: int) -> int:
         raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
         return 1
-    t %= n
     if math.gcd(t, n) != 1:
         raise ValueError(f"{t} is not coprime to {n}")
+    t %= n
     e, x = 1, t
     while x != 1:
         x = (x * t) % n
@@ -138,6 +138,13 @@ def is_self_conjugate(p: int, n: int) -> bool:
             return True
         x = (x * p) % v
     return False
+
+
+def self_conjugacy_divisor(k: int, n: int) -> int:
+    """The product of p^(e//2) over the prime powers p^e || k with p
+    self-conjugate mod n.  It divides every coefficient of the fold onto
+    Z_n of a matrix of weight k (Arasu and Seberry)."""
+    return math.prod(p ** (e // 2) for p, e in factorize(k).items() if is_self_conjugate(p, n))
 
 
 def prime_power_multiplier(n: int, k: int) -> Optional[int]:

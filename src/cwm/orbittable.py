@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .groupring import GroupRingElement
-from .numbertheory import OrbitPartition, coprime_factor_pairs, factorize, is_self_conjugate, orbits
+from .numbertheory import OrbitPartition, coprime_factor_pairs, orbits, self_conjugacy_divisor
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class OrbitTable:
     row_orbits: OrbitPartition  # Z_d orbits under t mod d
     col_orbits: OrbitPartition  # Z_m orbits under t mod m
     boxes: tuple[tuple[tuple[int, ...], ...], ...]  # boxes[i][j] = Z_n orbit ids
-    orbit_row: tuple[int, ...]  # Z_n orbit id -> row index
-    orbit_col: tuple[int, ...]
 
     @property
     def num_rows(self) -> int:
@@ -57,49 +54,13 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     part = orbits(n, t)
     rows = orbits(d, t % d)
     cols = orbits(m, t % m)
-    orbit_row = []
-    orbit_col = []
     box_lists: list[list[list[int]]] = [
         [[] for _ in range(len(cols))] for _ in range(len(rows))
     ]
     for oid, (rep, _) in enumerate(part.orbits):
-        i = rows.orbit_of(rep % d)
-        j = cols.orbit_of(rep % m)
-        orbit_row.append(i)
-        orbit_col.append(j)
-        box_lists[i][j].append(oid)
+        box_lists[rows.orbit_of(rep % d)][cols.orbit_of(rep % m)].append(oid)
     boxes = tuple(tuple(tuple(cell) for cell in row) for row in box_lists)
-    return OrbitTable(n, d, m, t, part, rows, cols, boxes, tuple(orbit_row), tuple(orbit_col))
-
-
-def _orbit_values(table: OrbitTable, assignment: Mapping[int, int]) -> list[int]:
-    """The assignment's multiplicity on each Z_n orbit, by orbit id."""
-    values = [0] * len(table.partition)
-    for rep, mult in assignment.items():
-        if not mult:
-            continue
-        oid = table.partition.orbit_of(rep)
-        if table.orbit_rep(oid) != rep % table.n:
-            raise ValueError(f"{rep} is not an orbit representative mod {table.n}")
-        values[oid] = mult
-    return values
-
-
-def margin_of(table: OrbitTable, assignment: Mapping[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column sums of an assignment mapping orbit representatives
-    to signed multiplicities (absent orbits count as 0)."""
-    r = [0] * table.num_rows
-    c = [0] * table.num_cols
-    for oid, mult in enumerate(_orbit_values(table, assignment)):
-        size = table.orbit_size(oid)
-        r[table.orbit_row[oid]] += mult * size
-        c[table.orbit_col[oid]] += mult * size
-    return tuple(r), tuple(c)
-
-
-def reconstruct(table: OrbitTable, assignment: Mapping[int, int]) -> GroupRingElement:
-    """Group ring element with the given multiplicity on each orbit."""
-    return GroupRingElement(table.n, table.partition.expand(_orbit_values(table, assignment)))
+    return OrbitTable(n, d, m, t, part, rows, cols, boxes)
 
 
 def default_factorization(n: int, k: int, t: int) -> Optional[tuple[int, int]]:
@@ -108,18 +69,19 @@ def default_factorization(n: int, k: int, t: int) -> Optional[tuple[int, int]]:
     Maximizes min(#row orbits, #col orbits); ties prefer making the rows
     the side whose fold is trivialized by self-conjugacy (strongest
     pruning), then the smaller d.  None when n has no coprime split.
+    Raises ValueError for a multiplier not coprime to n.
     """
+    if math.gcd(t, n) != 1:
+        raise ValueError(f"multiplier {t} is not coprime to {n}")
     pairs = coprime_factor_pairs(n)
     if not pairs:
         return None
-    ks = [p for p, e in factorize(k).items() if e >= 2]
 
     def score(pair):
         d, m = pair
         nrows = len(orbits(d, t % d))
         ncols = len(orbits(m, t % m))
-        sc_rows = any(is_self_conjugate(p, d) for p in ks)
-        return (min(nrows, ncols), 1 if sc_rows else 0, -d)
+        return (min(nrows, ncols), self_conjugacy_divisor(k, d) > 1, -d)
 
     return max(pairs, key=score)
 

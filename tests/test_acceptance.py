@@ -272,7 +272,9 @@ class TestCriterion4:
         elapsed = time.time() - t0
         detail = (
             f"mod 9: {counts[9]}; mod 16: {counts[16]}; published {self.PUBLISHED}: "
-            f"{self.PUBLISHED[1]} not reproduced; {elapsed:.1f}s"
+            f"{self.PUBLISHED[1]} not reproduced by any convention tried (raw, reduced, "
+            f"consistent on Z_16 or only on Z_2/Z_4/Z_8, folds = 0 mod 7, x -> 7x + g, "
+            f"no multiplier), so Z_16 is checked against the oracle; {elapsed:.1f}s"
         )
         if problems:
             detail += "; " + "; ".join(problems)

@@ -121,6 +121,45 @@ class TestSearch:
         assert code == (1 if name == "search_110_81.txt" else 0)
         assert out == (GOLDEN / name).read_text()
 
+    # count mode prints the summary line of an all-mode search and no
+    # classes, and writes no witness; stdout as the library's count mode
+    # printed it
+    @pytest.mark.parametrize(
+        "argv,code,expect",
+        [
+            (("--n", "63", "--k", "16"), 0,
+             "CW(63,16): 2 equivalence classes "
+             "(8 solutions found, 20 candidates tested, 482 nodes)\n"),
+            (("--n", "110", "--k", "81"), 1,
+             "CW(110,81): 0 equivalence classes "
+             "(0 solutions found, 0 candidates tested, 97 nodes)\n"
+             "exhaustively none: margin systems and orbit search rule every candidate out\n"),
+            (("--n", "52", "--k", "81", "-t", "3", "--coeff-bound", "3"), 0,
+             "ICW_3(52,81): 33 equivalence classes "
+             "(132 solutions found, 5568 candidates tested, 520388 nodes)\n"),
+            (("--n", "63", "--k", "16", "--out", "x.cw"), 0,
+             "CW(63,16): 2 equivalence classes "
+             "(8 solutions found, 20 candidates tested, 482 nodes)\n"),
+        ],
+        ids=["63-16", "110-81", "icw3-52-81", "63-16-out"],
+    )
+    def test_count_mode_golden(self, capsys, tmp_path, monkeypatch, argv, code, expect):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "search", *argv, "--mode", "count") == (code, expect, "")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            (("orbits", "--n", "63", "-t", "21"), "multiplier 21 is not coprime to 63"),
+            (("orbits", "--n", "13", "-t", "26"), "multiplier 26 is not coprime to 13"),
+            (("search", "--n", "63", "--k", "16", "-t", "21"), "multiplier 21 is not coprime to 63"),
+        ],
+        ids=["orbits-split", "orbits-prime", "search"],
+    )
+    def test_noncoprime_multiplier_named_as_given(self, capsys, argv, expect):
+        assert run(capsys, *argv) == (2, "", f"error: {expect}\n")
+
     def test_stats_line_gated(self, capsys):
         _, plain, _ = run(capsys, "search", "--n", "7", "--k", "4")
         _, stats, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
@@ -275,6 +314,15 @@ class TestCatalog:
         assert code == 0 and "nonexistent" in out
         code, out, _ = run(capsys, "catalog", "table", "--nmax", "120", "--kmax", "81")
         assert code == 0 and out.count("k=") == 9
+
+    @pytest.mark.parametrize(
+        "bounds", [("--nmax", "0"), ("--kmax", "0"), ("--nmax", "-5", "--kmax", "16")]
+    )
+    def test_table_bounds_below_one_exit_2(self, capsys, tmp_path, monkeypatch, bounds):
+        monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))
+        code, out, err = run(capsys, "catalog", "table", *bounds)
+        assert code == 2
+        assert out == "" and err.startswith("error: table bounds must be >= 1")
 
     def test_import_and_close(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))

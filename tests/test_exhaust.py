@@ -247,9 +247,10 @@ class TestSearch:
         par = search(63, 16, jobs=2)
         assert seq == par
 
-    def test_count_mode_drops_solutions(self):
-        out = search(63, 16, mode="count")
-        assert out.solutions == () and out.classes == 2
+    def test_count_mode_rejected(self):
+        # counting without listing is a view of the command line
+        with pytest.raises(ValueError, match="unknown mode 'count'"):
+            search(63, 16, mode="count")
 
     def test_first_mode_stops_early(self):
         out = search(63, 16, mode="first")
@@ -434,7 +435,6 @@ class TestCompletenessOracles:
         # multiplier 3 fixes a translate of any solution, so enumerating
         # multiplicity vectors over the five orbits is exhaustive
         from cwm.numbertheory import orbits
-        from cwm.orbittable import reconstruct
 
         part = orbits(13, 3)
         brute = set()

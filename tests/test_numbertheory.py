@@ -13,6 +13,7 @@ from cwm.numbertheory import (
     multiplicative_order,
     orbits,
     prime_power_multiplier,
+    self_conjugacy_divisor,
 )
 
 
@@ -52,6 +53,10 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbits(10, 5)
 
+    def test_error_names_the_multiplier_given(self):
+        with pytest.raises(ValueError, match="^multiplier 15 is not coprime to 10$"):
+            orbits(10, 15)
+
 
 class TestMultiplicativeOrder:
     def test_small(self):
@@ -67,6 +72,10 @@ class TestMultiplicativeOrder:
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
             multiplicative_order(6, 9)
+
+    def test_error_names_the_multiplier_given(self):
+        with pytest.raises(ValueError, match="^15 is not coprime to 9$"):
+            multiplicative_order(15, 9)
 
 
 class TestCoprimePart:
@@ -104,6 +113,29 @@ class TestSelfConjugate:
                 for m in range(2, n + 1):
                     if n % m == 0 and vn % coprime_part(m, p) == 0:
                         assert is_self_conjugate(p, m), (p, n, m)
+
+
+class TestSelfConjugacyDivisor:
+    @staticmethod
+    def oracle(k, n):
+        # the rule as the margin search and the factorization choice each
+        # derived it: p^a for each p^(2a) dividing k maximally, a >= 1,
+        # with p self-conjugate mod n
+        exponents = [(p, e // 2) for p, e in factorize(k).items() if e >= 2]
+        return math.prod(p**a for p, a in exponents if is_self_conjugate(p, n))
+
+    @pytest.mark.parametrize(
+        "k,n,expect",
+        [(81, 10, 9), (81, 11, 1), (16, 9, 4), (16, 63, 1), (8, 9, 2), (2, 9, 1),
+         (100, 3, 10), (49, 16, 1), (144, 1, 12), (1, 7, 1)],
+    )
+    def test_values(self, k, n, expect):
+        assert self_conjugacy_divisor(k, n) == expect
+
+    def test_matches_oracle(self):
+        for k in range(1, 400):
+            for n in range(1, 60):
+                assert self_conjugacy_divisor(k, n) == self.oracle(k, n), (k, n)
 
 
 class TestPrimePowerMultiplier:
