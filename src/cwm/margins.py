@@ -244,30 +244,38 @@ def fold_consistency_filter(
     ]
 
 
-def shift_orbit_permutations(partition: OrbitPartition) -> list[tuple[int, ...]]:
-    """Permutations of orbit indices induced by the translations that
-    commute with the multiplier action (x with (t-1)x = 0 mod modulus)."""
+def affine_orbit_permutations(partition: OrbitPartition) -> list[tuple[int, ...]]:
+    """Distinct permutations of orbit indices induced by the affine maps
+    x -> u*x + g that commute with the multiplier: u a unit and
+    (t-1)*g = 0 mod modulus.  Entry i of a permutation is the orbit that
+    the map sends the representative of orbit i into."""
     mod, t = partition.modulus, partition.multiplier
-    perms = []
-    for x in range(mod):
-        if ((t - 1) * x) % mod == 0:
-            perms.append(
-                tuple(partition.orbit_of((rep + x) % mod) for rep, _ in partition.orbits)
-            )
-    return perms
+    shifts = [g for g in range(mod) if ((t - 1) * g) % mod == 0]
+    perms = (
+        tuple(partition.orbit_of(u * rep + g) for rep, _ in partition.orbits)
+        for u in range(mod)
+        if math.gcd(u, mod) == 1
+        for g in shifts
+    )
+    return list(dict.fromkeys(perms))
 
 
-def reduce_by_shifts(
+def reduce_by_affine_maps(
     solutions: Iterable[MarginSolution], partition: OrbitPartition
 ) -> list[MarginSolution]:
-    """One representative per orbit of the translation action, chosen as
-    the lexicographically greatest scaled vector."""
-    perms = shift_orbit_permutations(partition)
+    """One representative per orbit of the affine maps of
+    affine_orbit_permutations, chosen as the lexicographically greatest
+    scaled vector, in sorted order.
+
+    Such a map sends a t-fixed fold B to the t-fixed fold x -> B(u*x + g)
+    of an equivalent matrix, so one representative per orbit loses no
+    class."""
+    perms = affine_orbit_permutations(partition)
     sizes = partition.sizes
     seen = {}
     for sol in solutions:
         scaled = sol.scaled
-        # index i of an image takes the value of the orbit that moves onto i
+        # index i of an image takes the value of the orbit i is mapped into
         key = max(tuple(scaled[j] for j in perm) for perm in perms)
         if key not in seen:
             values = tuple(v // s for v, s in zip(key, sizes))
@@ -281,9 +289,16 @@ def margin_pairs(
     row_partition: OrbitPartition,
     col_partition: OrbitPartition,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Pairs of scaled row/column margin vectors, one per class under
-    independent row/column translation actions: the lexicographically
-    greatest (r, c) of each class, in sorted order."""
-    rows = reduce_by_shifts(row_solutions, row_partition)
-    cols = reduce_by_shifts(col_solutions, col_partition)
+    """Pairs of scaled row/column margin vectors, one per orbit of the
+    affine maps x -> u*x + g of Z_n that commute with the multiplier: the
+    lexicographically greatest (r, c) of each orbit, in sorted order.
+
+    A unit u of Z_n acts on a pair jointly, by u mod d on the row fold
+    and u mod m on the column fold.  Since gcd(d, m) = 1, the CRT gives
+    Z_n^* = Z_d^* x Z_m^*, and a translation g with (t-1)*g = 0 mod n
+    splits the same way, so the group is the product of the affine
+    groups of the two folds.  Its orbits on pairs are the products of
+    its orbits on each side, and each side is reduced on its own."""
+    rows = reduce_by_affine_maps(row_solutions, row_partition)
+    cols = reduce_by_affine_maps(col_solutions, col_partition)
     return [(r.scaled, c.scaled) for r in rows for c in cols]

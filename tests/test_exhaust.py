@@ -48,11 +48,12 @@ def enumerated_side(s, k, part, bound):
     return sols
 
 
-def reference_classes(n, k, fold_consistency, symmetry_reduction):
-    """Class set of search(n, k) rebuilt with pruning layers turned off:
-    enumerated margins in place of lifted ones, and every (row, column)
-    pair in place of one per translation class, each through exhaust_pair."""
-    config = plan(n, k)
+def reference_classes(n, k, fold_consistency, symmetry_reduction, multiplier=None, coeff_bound=1):
+    """Class set of search(n, k, multiplier, coeff_bound) rebuilt with
+    pruning layers turned off: enumerated margins in place of lifted ones,
+    and every (row, column) pair in place of one per orbit of the affine
+    maps x -> u*x + g, each through exhaust_pair."""
+    config = plan(n, k, multiplier, coeff_bound)
     table = config.table
     side = side_margin_solutions if fold_consistency else enumerated_side
     rows, cols = (side(config.s, k, part, bound) for _, part, bound in config.folds)
@@ -256,6 +257,12 @@ class TestSearch:
         out = search(63, 16, mode="first")
         assert out.classes >= 1
 
+    @pytest.mark.parametrize("n,k", [(26, 9), (63, 16)])
+    def test_first_mode_class_is_an_all_mode_class(self, n, k):
+        first = search(n, k, mode="first")
+        assert first.classes == 1
+        assert first.solutions[0] in search(n, k).solutions
+
     def test_budget_propagates(self):
         out = search(63, 16, node_budget=5)
         assert not out.exhaustive
@@ -264,6 +271,16 @@ class TestSearch:
         base = {s.coeffs for s in search(63, 16).solutions}
         for fold_consistency, symmetry_reduction in itertools.product((True, False), repeat=2):
             assert reference_classes(63, 16, fold_consistency, symmetry_reduction) == base
+
+    @pytest.mark.parametrize(
+        "n,k,multiplier,coeff_bound",
+        [(31, 25, None, 1), (104, 81, None, 1), (132, 25, None, 1), (52, 81, 3, 3)],
+    )
+    def test_unit_merged_pairs_lose_no_class(self, n, k, multiplier, coeff_bound):
+        # units of Z_n merge margin pairs here, so walking every pair is
+        # an independent check of the reduction
+        base = {s.coeffs for s in search(n, k, multiplier, coeff_bound).solutions}
+        assert reference_classes(n, k, True, False, multiplier, coeff_bound) == base
 
     def test_nonexistence_110_with_and_without_pruning(self):
         assert search(110, 81).classes == 0
@@ -294,24 +311,24 @@ class TestSearchCounters:
     @pytest.mark.parametrize(
         "n,k,kwargs,counts",
         [
-            (104, 81, {}, (419127, 784, 0, 0, True)),
-            (110, 81, {}, (97, 0, 0, 0, True)),
-            (44, 81, dict(multiplier=3, coeff_bound=3), (284, 0, 0, 0, True)),
+            (104, 81, {}, (63156, 98, 0, 0, True)),
+            (110, 81, {}, (69, 0, 0, 0, True)),
+            (44, 81, dict(multiplier=3, coeff_bound=3), (175, 0, 0, 0, True)),
             # the stop paths: first mode ends the search at its first class,
             # a budget ends each pair's walk at the first node past its share
-            (63, 16, dict(mode="first"), (171, 2, 1, 1, True)),
-            (132, 25, dict(mode="first"), (76656, 13, 1, 1, True)),
-            (104, 81, dict(node_budget=1000), (1120, 0, 0, 0, False)),
-            (104, 81, dict(node_budget=1000, jobs=2), (1120, 0, 0, 0, False)),
-            (63, 16, dict(node_budget=5), (10, 0, 0, 0, False)),
-            (31, 25, dict(node_budget=1), (21, 0, 0, 0, False)),
+            (63, 16, dict(mode="first"), (98, 1, 1, 1, True)),
+            (132, 25, dict(mode="first"), (26084, 7, 1, 1, True)),
+            (104, 81, dict(node_budget=1000), (1018, 0, 0, 0, False)),
+            (104, 81, dict(node_budget=1000, jobs=2), (1018, 0, 0, 0, False)),
+            (63, 16, dict(node_budget=5), (8, 0, 0, 0, False)),
+            (31, 25, dict(node_budget=1), (3, 0, 0, 0, False)),
             # census row (156,81): ICW_3(52,81), whose walk repeats many
             # leafless subtrees
-            (52, 81, dict(multiplier=3, coeff_bound=3), (520388, 5568, 132, 33, True)),
-            (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (2570, 26, 1, 1, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3), (157220, 1548, 33, 33, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (43, 1, 1, 1, True)),
             (
                 52, 81, dict(multiplier=3, coeff_bound=3, node_budget=100000),
-                (100025, 1336, 39, 20, False),
+                (100007, 1139, 22, 22, False),
             ),
         ],
     )
@@ -329,29 +346,31 @@ class TestSearchCounters:
         out = search(m, 36, multiplier=t, coeff_bound=d)
         assert out.exhaustive
         assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == (
-            291, 14, 2, 1
+            201, 9, 1, 1
         )
 
 
 class TestLeaflessSubtrees:
     """exhaust_pair counts a repeated leafless subtree without walking it
     again; under every budget and in first mode its counters and classes
-    match the walk that visits every node."""
+    match the walk that visits every node.  Each case sweeps the margin
+    pair with the most tree nodes."""
 
     @pytest.mark.parametrize(
-        "n,k,multiplier,coeff_bound,index,budgets",
+        "n,k,multiplier,coeff_bound,budgets",
         [
-            (63, 16, None, 1, 2, None),  # every budget 1..N
-            (104, 81, None, 1, 56, 50),
-            (52, 81, 3, 3, 10, 50),
+            (63, 16, None, 1, None),  # every budget 1..N
+            (104, 81, None, 1, 50),
+            (52, 81, 3, 3, 50),
         ],
     )
-    def test_budget_sweep_matches_full_walk(self, n, k, multiplier, coeff_bound, index, budgets):
+    def test_budget_sweep_matches_full_walk(self, n, k, multiplier, coeff_bound, budgets):
         config = plan(n, k, multiplier, coeff_bound)
         table = config.table
         pairs = margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
-        r, c = pairs[index]
-        total = exhaust_pair_oracle(config, r, c)[0][0]
+        total, r, c = max(
+            (exhaust_pair_oracle(config, r, c)[0][0], r, c) for r, c in pairs
+        )
         if budgets is None:
             sweep = range(1, total + 1)
         else:

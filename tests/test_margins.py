@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from cwm.margins import (
     MarginSolution,
+    affine_orbit_permutations,
     count_margin_solutions,
     fold_consistency_filter,
     lift_margin_solutions,
     margin_pairs,
-    reduce_by_shifts,
+    reduce_by_affine_maps,
     self_conjugacy_filter,
-    shift_orbit_permutations,
     solve_margin_system,
 )
 from cwm.numbertheory import orbits
@@ -294,39 +294,76 @@ class TestFoldConsistency:
 
 class TestShiftReduction:
     def test_permutations_form_expected_group(self):
-        part = orbits(10, 3)  # fixed translations: x with 2x = 0 mod 10
-        perms = shift_orbit_permutations(part)
-        assert len(perms) == 2  # shifts by 0 and 5
+        # units of Z_10 all lie in <3>, so only the translations by 0 and 5
+        # (2x = 0 mod 10) move orbits
+        part = orbits(10, 3)
+        perms = affine_orbit_permutations(part)
+        assert len(perms) == 2
 
     def test_110_rows_collapse(self):
         part = orbits(10, 3)
         sols = solve_margin_system(9, 81, part.sizes, 11)
         kept = self_conjugacy_filter(sols, 3, 10, 2)
-        reduced = reduce_by_shifts(kept, part)
+        reduced = reduce_by_affine_maps(kept, part)
         assert len(reduced) == 1
         assert reduced[0].scaled == (9, 0, 0, 0)
 
     def test_reduction_keeps_lex_greatest(self):
-        part = orbits(10, 3)
-        sols = solve_margin_system(9, 81, part.sizes, 11)
-        reduced = reduce_by_shifts(sols, part)
-        perms = shift_orbit_permutations(part)
-        for sol in reduced:
-            for perm in perms:
-                image = tuple(sol.scaled[perm[i]] for i in range(len(perm)))
-                assert image <= sol.scaled
+        # Z_10: translations only; Z_11 and Z_5: units outside <t> as well
+        for m, t, s, k, bound in [(10, 3, 9, 81, 11), (11, 3, 9, 81, 10), (5, 4, 3, 9, 3)]:
+            part = orbits(m, t)
+            sols = solve_margin_system(s, k, part.sizes, bound)
+            reduced = reduce_by_affine_maps(sols, part)
+            perms = affine_orbit_permutations(part)
+            for sol in reduced:
+                for perm in perms:
+                    image = tuple(sol.scaled[perm[i]] for i in range(len(perm)))
+                    assert image <= sol.scaled
+
+
+def affine_pair_orbits(rows, cols, rows_part, cols_part):
+    """Number of orbits of the pairs of expanded row/column vectors under
+    x -> u*x + g on Z_n, n = d*m, for every unit u and every g with
+    (t-1)*g = 0 mod n, acting on the row fold mod d and the column fold
+    mod m.  t is the multiplier of Z_n that reduces to both folds'."""
+    d, m = rows_part.modulus, cols_part.modulus
+    n = d * m
+    t = next(
+        x for x in range(n)
+        if x % d == rows_part.multiplier % d and x % m == cols_part.multiplier % m
+    )
+    maps = [
+        (u, g)
+        for u in range(n) if math.gcd(u, n) == 1
+        for g in range(n) if (t - 1) * g % n == 0
+    ]
+
+    def image(vec, mod, u, g):
+        return tuple(vec[(u * x + g) % mod] for x in range(mod))
+
+    pairs = {
+        (rows_part.expand(r.values), cols_part.expand(c.values)) for r in rows for c in cols
+    }
+    return len(
+        {
+            min((image(vr, d, u, g), image(vc, m, u, g)) for u, g in maps)
+            for vr, vc in pairs
+        }
+    )
 
 
 class TestMarginPairs:
-    def test_cartesian_without_reduction(self):
+    def test_pair_count_matches_brute_force_orbits(self):
         # only the zero translation commutes with 4 on Z_5 and 2 on Z_3,
-        # so no two pairs are merged
+        # but a unit u = 2 mod 5 swaps the orbits {1, 4} and {2, 3} of Z_5
         rows_part, cols_part = orbits(5, 4), orbits(3, 2)
         rows = solve_margin_system(3, 9, rows_part.sizes, 3)
         cols = solve_margin_system(3, 9, cols_part.sizes, 3)
         pairs = margin_pairs(rows, cols, rows_part, cols_part)
-        assert len(pairs) == len(rows) * len(cols) == 6
-        assert pairs == sorted((r.scaled, c.scaled) for r in rows for c in cols)
+        assert len(rows) * len(cols) == 6
+        assert len(pairs) == affine_pair_orbits(rows, cols, rows_part, cols_part) == 4
+        assert pairs == sorted(pairs)
+        assert set(pairs) <= {(r.scaled, c.scaled) for r in rows for c in cols}
 
     def test_empty_rows_give_empty_output(self):
         cols = solve_margin_system(3, 9, (1, 2), 3)
@@ -340,16 +377,16 @@ class TestMarginPairs:
         pairs = margin_pairs(rows, cols, rows_part, cols_part)
         assert ((4, 0, 0), (1, 6, -3)) in pairs
 
-    def test_reduction_only_merges_shift_equivalents(self):
+    def test_reduction_only_merges_affine_equivalents(self):
         rows_part = orbits(10, 3)
         cols_part = orbits(11, 3)
         rows = self_conjugacy_filter(
             solve_margin_system(9, 81, rows_part.sizes, 11), 3, 10, 2
         )
         cols = solve_margin_system(9, 81, cols_part.sizes, 10)
-        full = [(r.scaled, c.scaled) for r in rows for c in cols]
         reduced = margin_pairs(rows, cols, rows_part, cols_part)
-        # the two row survivors are shifts of one another; columns have no
-        # nontrivial shifts, so the pair count exactly halves
-        assert len(full) == 2 * len(reduced)
+        # the two row survivors are translates of one another; on Z_11 the
+        # unit -1 swaps the two nonzero orbits of x -> 3x
+        assert len(reduced) == affine_pair_orbits(rows, cols, rows_part, cols_part)
+        assert len(reduced) < len(rows) * len(cols) // 2
         assert all(r == (9, 0, 0, 0) for r, _ in reduced)
