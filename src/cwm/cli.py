@@ -71,14 +71,13 @@ def cmd_margins(args) -> int:
     config = plan(args.n, args.k, args.multiplier, args.coeff_bound, _factorization(args))
     if args.multiplier is not None:
         print(f"using supplied multiplier {args.multiplier} (soundness rests on the caller)")
-    s, k = config.s, config.k
-    for modulus, part, bound in config.folds:
-        if modulus == 1:
+    for part, bound in config.folds:
+        if part.modulus == 1:
             continue
-        raw = margins_mod.count_margin_solutions(s, k, part.sizes, bound)
-        print(f"fold onto Z_{modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
+        raw = margins_mod.count_margin_solutions(config.s, part.sizes, bound)
+        print(f"fold onto Z_{part.modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
         print(f"  {raw} solutions of the two moment equations")
-        consistent = margins_mod.lift_margin_solutions(s, k, part, bound)
+        consistent = margins_mod.lift_margin_solutions(config.s, part, bound)
         print(f"  {len(consistent)} remain after full fold consistency")
         for sol in consistent:
             print(f"    b = {sol.values}  scaled = {sol.scaled}")
@@ -110,9 +109,8 @@ def cmd_search(args) -> int:
     for sol in solutions:
         print(f"  {sol}")
     if args.out and solutions:
-        Path(args.out).write_text(
-            witness_format(solutions[0], args.k, args.coeff_bound)
-        )
+        witness = solutions[0]
+        Path(args.out).write_text(witness_format(witness, args.k, witness.max_abs_coeff()))
         print(f"witness written to {args.out}")
     if not outcome.exhaustive:
         print("node budget exceeded; search is NOT exhaustive", file=sys.stderr)
@@ -247,8 +245,8 @@ def seed_demo() -> int:
     print()
     print(render(table), end="")
     print()
-    for (modulus, part, bound), sols in zip(config.folds, config.margin_solutions()):
-        print(f"margins onto Z_{modulus} (orbit sizes {part.sizes}, bound {bound}):")
+    for (part, bound), sols in zip(config.folds, config.margin_solutions()):
+        print(f"margins onto Z_{part.modulus} (orbit sizes {part.sizes}, bound {bound}):")
         for sol in sols:
             print(f"  b = {sol.values}  scaled = {sol.scaled}")
     print()

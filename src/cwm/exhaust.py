@@ -68,30 +68,34 @@ class SearchConfig:
     def __post_init__(self):
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
-        if self.s * self.s != self.k:
-            raise ValueError(f"k = {self.k} is not a perfect square")
+        weight_root(self.k)
         if self.mode not in ("first", "all"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def s(self) -> int:
-        return math.isqrt(self.k)
+        return weight_root(self.k)
 
     @property
-    def folds(self) -> tuple[tuple[int, OrbitPartition, int], ...]:
-        """(modulus, orbits, coefficient bound) of the row fold onto Z_d and
-        the column fold onto Z_m; a fold sums n / modulus coefficients."""
+    def folds(self) -> tuple[tuple[OrbitPartition, int], ...]:
+        """(orbits, coefficient bound) of the row fold onto Z_d and the
+        column fold onto Z_m; a fold sums n / modulus coefficients."""
         t = self.table
         return (
-            (t.d, t.row_orbits, self.coeff_bound * t.m),
-            (t.m, t.col_orbits, self.coeff_bound * t.d),
+            (t.row_orbits, self.coeff_bound * t.m),
+            (t.col_orbits, self.coeff_bound * t.d),
         )
 
     def margin_solutions(self) -> tuple[list[margins_mod.MarginSolution], ...]:
-        """The margin solutions of the row fold and of the column fold."""
+        """The margin solutions of the row fold and of the column fold,
+        after every sound filter: the solutions of the fold equation
+        lifted through the quotients of the fold, each b divisible by the
+        self-conjugacy divisor."""
         return tuple(
-            side_margin_solutions(self.s, self.k, part, bound)
-            for _, part, bound in self.folds
+            margins_mod.lift_margin_solutions(
+                self.s, part, bound, self_conjugacy_divisor(self.k, part.modulus)
+            )
+            for part, bound in self.folds
         )
 
 
@@ -279,14 +283,15 @@ def exhaust_pair(
     )
 
 
-def side_margin_solutions(
-    s: int, k: int, partition: OrbitPartition, bound: int
-) -> list[margins_mod.MarginSolution]:
-    """Margin solutions for one fold, after every sound filter: the
-    solutions of the fold equation lifted through the quotients of the
-    fold, each b divisible by the self-conjugacy divisor."""
-    divisor = self_conjugacy_divisor(k, partition.modulus)
-    return margins_mod.lift_margin_solutions(s, k, partition, bound, divisor)
+def weight_root(k: int) -> int:
+    """s with k = s^2, the sum of every fold of a CW(n, k).  Raises
+    ValueError unless k is a positive square."""
+    if k < 1:
+        raise ValueError(f"k = {k} must be >= 1")
+    s = math.isqrt(k)
+    if s * s != k:
+        raise ValueError(f"k = {k} is not a perfect square")
+    return s
 
 
 def derive_multiplier(n: int, k: int) -> int:
@@ -315,12 +320,11 @@ def plan(
     orbit table and the coefficient bound.
 
     Orders with no coprime split get a 1 x n table, whose columns are the
-    orbits of Z_n itself.  Raises ValueError for a k that is not a square
-    or a multiplier not coprime to n, and MethodInapplicable when no
-    multiplier is available.
+    orbits of Z_n itself.  Raises ValueError for a k that is not a
+    positive square or a multiplier not coprime to n, and
+    MethodInapplicable when no multiplier is available.
     """
-    if math.isqrt(k) ** 2 != k:
-        raise ValueError(f"k = {k} is not a perfect square")
+    weight_root(k)
     if multiplier is None:
         multiplier = derive_multiplier(n, k)
     d, m = factorization or default_factorization(n, k, multiplier) or (1, n)

@@ -41,16 +41,11 @@ class MarginSolution:
     def scaled(self) -> tuple[int, ...]:
         return tuple(b * size for b, size in zip(self.values, self.orbit_sizes))
 
-    @property
-    def total(self) -> int:
-        return sum(self.scaled)
 
-
-def solve_margin_system(s: int, k: int, orbit_sizes: Sequence[int], bound: int) -> list[MarginSolution]:
-    """All integer vectors b with sum b_i*size_i = s, sum b_i^2*size_i = k,
-    |b_i| <= bound, in lexicographic order."""
-    if s * s != k:
-        raise ValueError(f"k = {k} is not s^2 for s = {s}")
+def solve_margin_system(s: int, orbit_sizes: Sequence[int], bound: int) -> list[MarginSolution]:
+    """All integer vectors b with sum b_i*size_i = s, sum b_i^2*size_i =
+    k = s^2, |b_i| <= bound, in lexicographic order."""
+    k = s * s
     sizes = tuple(int(x) for x in orbit_sizes)
     nvar = len(sizes)
     # suffix sums for pruning: max residual linear mass, given remaining square budget
@@ -84,11 +79,10 @@ def solve_margin_system(s: int, k: int, orbit_sizes: Sequence[int], bound: int) 
     return out
 
 
-def count_margin_solutions(s: int, k: int, orbit_sizes: Sequence[int], bound: int) -> int:
-    """len(solve_margin_system(s, k, orbit_sizes, bound)), by dynamic
+def count_margin_solutions(s: int, orbit_sizes: Sequence[int], bound: int) -> int:
+    """len(solve_margin_system(s, orbit_sizes, bound)), by dynamic
     programming over (linear sum, square sum) instead of enumeration."""
-    if s * s != k:
-        raise ValueError(f"k = {k} is not s^2 for s = {s}")
+    k = s * s
     states = {(0, 0): 1}
     later = sum(orbit_sizes)
     for size in orbit_sizes:
@@ -106,21 +100,21 @@ def count_margin_solutions(s: int, k: int, orbit_sizes: Sequence[int], bound: in
 
 
 def lift_margin_solutions(
-    s: int, k: int, partition: OrbitPartition, bound: int, divisor: int = 1
+    s: int, partition: OrbitPartition, bound: int, divisor: int = 1
 ) -> list[MarginSolution]:
-    """Orbit-constant B on Z_m with sum s, B * B^(-1) = k, |b_i| <= bound
-    and every b_i divisible by divisor, in lexicographic order.
+    """Orbit-constant B on Z_m with sum s, B * B^(-1) = k = s^2,
+    |b_i| <= bound and every b_i divisible by divisor, in lexicographic
+    order.
 
     The same list as fold_consistency_filter applied to the solutions of
-    solve_margin_system(s, k, partition.sizes, bound) that divisor
-    divides, found by lifting from Z_1 through the prime chain of m.  A
-    solution on Z_m folds onto a solution on each Z_q (q | m) with bound
+    solve_margin_system(s, partition.sizes, bound) that divisor divides,
+    found by lifting from Z_1 through the prime chain of m.  A solution
+    on Z_m folds onto a solution on each Z_q (q | m) with bound
     bound * m / q, so every level keeps every fold of a final solution.
     """
-    if s * s != k:
-        raise ValueError(f"k = {k} is not s^2 for s = {s}")
     if divisor < 1:
         raise ValueError("divisor must be >= 1")
+    k = s * s
     m = partition.modulus
     if abs(s) > bound * m or s % divisor:
         return []
@@ -131,7 +125,7 @@ def lift_margin_solutions(
         for _ in range(e):
             q *= p
             child = partition if q == m else orbits(q, partition.multiplier)
-            level = _lift_level(level, parent, child, p, k, bound * (m // q), divisor)
+            level = _lift_level(level, parent, child, k, bound * (m // q), divisor)
             level = fold_consistency_filter(level, child, k)
             parent = child
     return sorted(level, key=lambda sol: sol.values)
@@ -141,13 +135,14 @@ def _lift_level(
     level: list[MarginSolution],
     parent: OrbitPartition,
     child: OrbitPartition,
-    p: int,
     k: int,
     bound: int,
     divisor: int,
 ) -> list[MarginSolution]:
     """Orbit-constant vectors on Z_{p*q} with square mass k, |b| <= bound
-    and divisor | b that fold onto a vector of level (on Z_q)."""
+    and divisor | b that fold onto a vector of level (on Z_q), for the
+    parent partition of Z_q and the child partition of Z_{p*q}."""
+    p = child.modulus // parent.modulus
     # child orbits grouped by the parent orbit they reduce into; a child
     # vector folds onto c iff sum b_O * |O| = |O'| * c_O' for each parent O'
     groups: list[list[int]] = [[] for _ in parent.orbits]

@@ -17,7 +17,6 @@ from cwm.exhaust import (
     SearchConfig,
     icw_census,
     search,
-    side_margin_solutions,
 )
 from cwm.groupring import (
     GroupRingElement,
@@ -76,8 +75,7 @@ class TestCriterion2:
     def test_worked_example(self, worked_search, cw63):
         out, elapsed = worked_search
         table = build(63, 9, 7, 2)
-        rows = side_margin_solutions(4, 16, table.row_orbits, 7)
-        cols = side_margin_solutions(4, 16, table.col_orbits, 9)
+        rows, cols = SearchConfig(table=table, k=16).margin_solutions()
         pairs = margin_pairs(rows, cols, table.row_orbits, table.col_orbits)
         pair_present = ((4, 0, 0), (1, 6, -3)) in pairs
         found = canonical_form(cw63).coeffs in {s.coeffs for s in out.solutions}
@@ -245,7 +243,7 @@ class TestCriterion4:
         counts, problems = {}, []
         for side, bound, primes, shifts in self.SIDES:
             part = orbits(side, 7 % side)
-            raw = solve_margin_system(7, 49, part.sizes, bound)
+            raw = solve_margin_system(7, part.sizes, bound)
             consistent = fold_consistency_filter(raw, part, 49)
             counts[side] = {
                 "raw": len(raw),
@@ -269,7 +267,7 @@ class TestCriterion4:
             }
             if {part.expand(sol.values) for sol in consistent} != oracle:
                 problems.append(f"Z_{side} consistent set differs from the lifting oracle")
-            if {part.expand(sol.values) for sol in lift_margin_solutions(7, 49, part, bound)} != oracle:
+            if {part.expand(sol.values) for sol in lift_margin_solutions(7, part, bound)} != oracle:
                 problems.append(f"Z_{side} library lifted set differs from the lifting oracle")
             if counts[side] != expected:
                 problems.append(f"Z_{side} counts {counts[side]} != oracle {expected}")

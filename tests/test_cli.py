@@ -10,7 +10,8 @@ from cwm.groupring import witness_format, witness_parse
 # stdout of `cwm margins` as the enumerate-then-filter margin path printed
 # it, of `cwm search` and `cwm --seed-demo` before the search plan, and of
 # `cwm catalog import` then `close` before the catalog kept its verified
-# witness elements
+# witness elements, and of `cwm census` before a search's weight check had
+# one owner
 GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
@@ -89,6 +90,15 @@ class TestSearch:
         elem, k, bound = witness_parse(target.read_text())
         assert k == 4 and elem.order == 7
 
+    def test_witness_out_carries_its_own_bound(self, capsys, tmp_path):
+        # the first class of ICW_3(7,4) is -2, so its witness has bound 2
+        target = tmp_path / "found.cw"
+        code, out, _ = run(capsys, "search", "--n", "7", "--k", "4", "--coeff-bound", "3",
+                           "--out", str(target))
+        assert code == 0 and out.startswith("ICW_3(7,4): 2 equivalence classes")
+        assert target.read_text() == "CW 7 4 2\n-2 0 0 0 0 0 0\n"
+        assert run(capsys, "verify", str(target)) == (0, "ICW_2(7,4): OK, |P|=0 |N|=1\n", "")
+
     def test_byte_identical_stdout(self, capsys):
         _, out1, _ = run(capsys, "search", "--n", "63", "--k", "16")
         _, out2, _ = run(capsys, "search", "--n", "63", "--k", "16")
@@ -160,6 +170,20 @@ class TestSearch:
     def test_noncoprime_multiplier_named_as_given(self, capsys, argv, expect):
         assert run(capsys, *argv) == (2, "", f"error: {expect}\n")
 
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            (("search", "--n", "7", "--k", "0", "-t", "2"), "k = 0 must be >= 1"),
+            (("margins", "--n", "7", "--k", "0", "-t", "2"), "k = 0 must be >= 1"),
+            (("search", "--n", "7", "--k", "-4"), "k = -4 must be >= 1"),
+            (("margins", "--n", "7", "--k", "-4"), "k = -4 must be >= 1"),
+            (("search", "--n", "112", "--k", "35"), "k = 35 is not a perfect square"),
+        ],
+        ids=["search-0", "margins-0", "search-neg", "margins-neg", "search-non-square"],
+    )
+    def test_weight_not_a_positive_square_exits_2(self, capsys, argv, expect):
+        assert run(capsys, *argv) == (2, "", f"error: {expect}\n")
+
     def test_stats_line_gated(self, capsys):
         _, plain, _ = run(capsys, "search", "--n", "7", "--k", "4")
         _, stats, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
@@ -206,6 +230,12 @@ class TestOrbitsAndMargins:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "margins", "--n", "110")
         assert exc.value.code == 2
+        capsys.readouterr()  # argparse's own usage message
+        assert run(capsys, "orbits", "--n", "12") == (
+            2, "", "orbits needs --multiplier or --k\n"
+        )
+        code, out, err = run(capsys)
+        assert code == 2 and out.startswith("usage: cwm") and err == ""
 
     def test_margins_bad_coeff_bound_exits_2(self, capsys):
         code, out, err = run(capsys, "margins", "--n", "63", "--k", "16", "--coeff-bound", "0")
@@ -312,6 +342,13 @@ class TestCatalog:
         assert code == 0 and "seeded" in out
         code, out, _ = run(capsys, "catalog", "status", "--n", "110", "--k", "81")
         assert code == 0 and "nonexistent" in out
+        # n = 300 lies outside the seeded window
+        assert run(capsys, "catalog", "status", "--n", "300", "--k", "4") == (
+            0, "(300,4): open (no record)\n", ""
+        )
+        assert run(capsys, "catalog", "status", "--n", "110") == (
+            2, "", "catalog status needs --n and --k\n"
+        )
         code, out, _ = run(capsys, "catalog", "table", "--nmax", "120", "--kmax", "81")
         assert code == 0 and out.count("k=") == 9
 
@@ -396,6 +433,11 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", "import")
         assert code == 2
         assert out == "" and len(err.splitlines()) == 1
+
+
+class TestCensus:
+    def test_stdout_golden(self, capsys):
+        assert run(capsys, "census") == (0, (GOLDEN / "census.txt").read_text(), "")
 
 
 class TestSeedDemo:

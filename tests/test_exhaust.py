@@ -18,7 +18,6 @@ from cwm.exhaust import (
     orbit_shifts,
     plan,
     search,
-    side_margin_solutions,
 )
 from cwm.groupring import GroupRingElement, canonical_form, element, fold, verify, weight
 from cwm.margins import (
@@ -33,16 +32,17 @@ from cwm.numbertheory import (
     is_self_conjugate,
     mcfarland_multiplier,
     orbits,
-    prime_power_multiplier,
+    self_conjugacy_divisor,
 )
-from cwm.orbittable import build, default_factorization
+from cwm.orbittable import build
 
 
-def enumerated_side(s, k, part, bound):
+def enumerated_side(s, part, bound):
     """Every moment solution of one fold that the self-conjugacy filter
-    keeps: the margin set of side_margin_solutions before fold consistency."""
-    sols = solve_margin_system(s, k, part.sizes, bound)
-    for p, e in factorize(k).items():
+    keeps: the margin set of SearchConfig.margin_solutions before fold
+    consistency."""
+    sols = solve_margin_system(s, part.sizes, bound)
+    for p, e in factorize(s * s).items():
         if e >= 2 and is_self_conjugate(p, part.modulus):
             sols = self_conjugacy_filter(sols, p, part.modulus, e // 2)
     return sols
@@ -55,8 +55,10 @@ def reference_classes(n, k, fold_consistency, symmetry_reduction, multiplier=Non
     maps x -> u*x + g, each through exhaust_pair."""
     config = plan(n, k, multiplier, coeff_bound)
     table = config.table
-    side = side_margin_solutions if fold_consistency else enumerated_side
-    rows, cols = (side(config.s, k, part, bound) for _, part, bound in config.folds)
+    if fold_consistency:
+        rows, cols = config.margin_solutions()
+    else:
+        rows, cols = (enumerated_side(config.s, part, bound) for part, bound in config.folds)
     if symmetry_reduction:
         pairs = margin_pairs(rows, cols, table.row_orbits, table.col_orbits)
     else:
@@ -175,6 +177,8 @@ class TestExhaustPair:
         config = SearchConfig(table=table63, k=16)
         with pytest.raises(ValueError):
             exhaust_pair(config, (3, 0, 0), (1, 6, -3))
+        with pytest.raises(ValueError, match="length"):
+            exhaust_pair(config, (4, 0), (1, 6, -3))
 
 
 @st.composite
@@ -416,7 +420,8 @@ class TestPlan:
     def test_folds_carry_bounds(self, table63):
         config = plan(63, 16, coeff_bound=2)
         assert config.table == table63 and config.s == 4
-        assert config.folds == ((9, table63.row_orbits, 14), (7, table63.col_orbits, 18))
+        assert config.folds == ((table63.row_orbits, 14), (table63.col_orbits, 18))
+        assert [part.modulus for part, _ in config.folds] == [9, 7]
 
     def test_margin_solutions_of_both_folds(self, table63):
         rows, cols = plan(63, 16).margin_solutions()
@@ -428,6 +433,10 @@ class TestPlan:
         # a non-square k is a usage error before any multiplier is derived
         with pytest.raises(ValueError, match="perfect square"):
             plan(112, 35)
+        # and so is a weight below 1, even with a supplied multiplier
+        for k in (0, -4):
+            with pytest.raises(ValueError, match=f"k = {k} must be >= 1"):
+                plan(7, k, multiplier=2)
         with pytest.raises(MethodInapplicable):
             plan(112, 36)
         with pytest.raises(ValueError, match="coprime"):
@@ -436,8 +445,9 @@ class TestPlan:
             plan(63, 16, coeff_bound=0)
 
     def test_config_rejects_non_square_weight(self, table63):
-        with pytest.raises(ValueError):
-            SearchConfig(table=table63, k=15)
+        for k in (15, 0, -4):
+            with pytest.raises(ValueError, match=f"k = {k} "):
+                SearchConfig(table=table63, k=k)
 
 
 class TestCompletenessOracles:
@@ -597,15 +607,11 @@ PINNED_SIDES = {
 class TestSideMarginSolutions:
     @pytest.mark.parametrize("n,k", [(144, 49), (152, 49), (160, 81), (160, 49)])
     def test_long_sides_match_enumerate_then_filter(self, n, k):
-        s = 9 if k == 81 else 7
-        t = prime_power_multiplier(n, k)
-        d, m = default_factorization(n, k, t)
-        table = build(n, d, m, t)
-        for part, cofactor in ((table.row_orbits, m), (table.col_orbits, d)):
-            lifted = side_margin_solutions(s, k, part, cofactor)
+        config = plan(n, k)
+        for (part, bound), lifted in zip(config.folds, config.margin_solutions()):
             expected = PINNED_SIDES.get((n, k, part.modulus))
             if expected is None:
-                raw = enumerated_side(s, k, part, cofactor)
+                raw = enumerated_side(config.s, part, bound)
                 expected = [sol.values for sol in fold_consistency_filter(raw, part, k)]
             assert [sol.values for sol in lifted] == expected
             assert all(sol.orbit_sizes == part.sizes for sol in lifted)
@@ -613,10 +619,11 @@ class TestSideMarginSolutions:
     def test_self_conjugacy_divisor_applies(self):
         # 3 is self-conjugate mod 6 and 3^2 | 9, so every b is divisible by 3
         part = orbits(6, 5)
-        lifted = side_margin_solutions(3, 9, part, 3)
-        raw = enumerated_side(3, 9, part, 3)
+        assert self_conjugacy_divisor(9, 6) == 3
+        lifted = lift_margin_solutions(3, part, 3, divisor=3)
+        raw = enumerated_side(3, part, 3)
         assert [sol.values for sol in lifted] == [
             sol.values for sol in fold_consistency_filter(raw, part, 9)
         ]
         assert [sol.values for sol in lifted] == [(0, 0, 0, 3), (3, 0, 0, 0)]
-        assert len(lift_margin_solutions(3, 9, part, 3)) == 8
+        assert len(lift_margin_solutions(3, part, 3)) == 8

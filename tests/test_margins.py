@@ -46,7 +46,7 @@ MOMENT_CASES = [
 
 class TestSolveMarginSystem:
     def test_weight81_two_size5_orbits(self):
-        sols = solve_margin_system(9, 81, (1, 5, 5), 13)
+        sols = solve_margin_system(9, (1, 5, 5), 13)
         assert {s.values for s in sols} == {
             (9, 0, 0), (4, 3, -2), (4, -2, 3), (-6, 3, 0), (-6, 0, 3)
         }
@@ -56,7 +56,7 @@ class TestSolveMarginSystem:
         # (6,0,0,0,0) / (0,2,2,-2,0)-permutation list; the oracle test
         # below pins the complete count, here we check the quoted
         # solutions are all present
-        sols = solve_margin_system(6, 36, (1, 3, 3, 3, 3), 11)
+        sols = solve_margin_system(6, (1, 3, 3, 3, 3), 11)
         values = {s.values for s in sols}
         quoted = {(6, 0, 0, 0, 0)} | {
             (0,) + perm for perm in set(itertools.permutations((2, 2, -2, 0)))
@@ -65,48 +65,44 @@ class TestSolveMarginSystem:
         assert len(sols) == 65
 
     def test_weight36_order11_side(self):
-        sols = solve_margin_system(6, 36, (1, 5, 5), 13)
+        sols = solve_margin_system(6, (1, 5, 5), 13)
         assert {s.values for s in sols} == {(6, 0, 0), (-4, 2, 0), (-4, 0, 2)}
 
     def test_trivial_solution_present(self):
         for s in (2, 3, 7):
-            sols = solve_margin_system(s, s * s, (1, 1, 1), s)
+            sols = solve_margin_system(s, (1, 1, 1), s)
             assert any(
                 sorted(sol.values) == sorted([s] + [0, 0]) for sol in sols
             )
 
     @pytest.mark.parametrize("s,k,sizes,bound", MOMENT_CASES)
     def test_matches_nested_loop_oracle(self, s, k, sizes, bound):
-        sols = solve_margin_system(s, k, sizes, bound)
+        sols = solve_margin_system(s, sizes, bound)
         assert [sol.values for sol in sols] == brute_solutions(s, k, sizes, bound)
 
     def test_lexicographic_order(self):
-        sols = solve_margin_system(9, 81, (1, 5, 5), 13)
+        sols = solve_margin_system(9, (1, 5, 5), 13)
         assert [s.values for s in sols] == sorted(s.values for s in sols)
 
     def test_empty_is_valid(self):
-        assert solve_margin_system(3, 9, (2, 2), 5) == []
+        assert solve_margin_system(3, (2, 2), 5) == []
 
     def test_scaled_and_total(self):
         sol = MarginSolution((1, 5, 5), (4, 3, -2))
         assert sol.scaled == (4, 15, -10)
-        assert sol.total == 9
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            solve_margin_system(3, 10, (1, 1), 3)
+        assert sum(sol.scaled) == 9
 
 
 class TestCountMarginSolutions:
     @pytest.mark.parametrize("s,k,sizes,bound", MOMENT_CASES)
     def test_equals_enumeration(self, s, k, sizes, bound):
-        assert count_margin_solutions(s, k, sizes, bound) == len(
-            solve_margin_system(s, k, sizes, bound)
+        assert count_margin_solutions(s, sizes, bound) == len(
+            solve_margin_system(s, sizes, bound)
         )
 
     def test_long_side_144_49(self):
         # the Z_16 fold of (144,49): the enumeration lists 68574 solutions
-        assert count_margin_solutions(7, 49, (1, 2, 2, 2, 2, 2, 1, 2, 2), 9) == 68574
+        assert count_margin_solutions(7, (1, 2, 2, 2, 2, 2, 1, 2, 2), 9) == 68574
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -115,13 +111,9 @@ class TestCountMarginSolutions:
         bound=st.integers(0, 4),
     )
     def test_equals_enumeration_random(self, sizes, s, bound):
-        assert count_margin_solutions(s, s * s, sizes, bound) == len(
-            solve_margin_system(s, s * s, sizes, bound)
+        assert count_margin_solutions(s, sizes, bound) == len(
+            solve_margin_system(s, sizes, bound)
         )
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            count_margin_solutions(3, 10, (1, 1), 3)
 
 
 def orbit_partitions(m):
@@ -155,7 +147,7 @@ def lifting_cases():
 def filtered_oracle(s, k, part, bound, divisor):
     """The old margin path: every moment solution, then divisibility and
     full fold consistency."""
-    raw = solve_margin_system(s, k, part.sizes, bound)
+    raw = solve_margin_system(s, part.sizes, bound)
     raw = [sol for sol in raw if all(b % divisor == 0 for b in sol.values)]
     return fold_consistency_filter(raw, part, k)
 
@@ -168,14 +160,14 @@ class TestLiftMarginSolutions:
                 k = s * s
                 if k > bound * bound * part.modulus:
                     # no vector reaches the square mass; both sides are empty
-                    assert lift_margin_solutions(s, k, part, bound) == []
+                    assert lift_margin_solutions(s, part, bound) == []
                     continue
                 consistent = filtered_oracle(s, k, part, bound, 1)
                 for divisor in (1, 2, 3):
                     expected = [
                         sol for sol in consistent if all(b % divisor == 0 for b in sol.values)
                     ]
-                    lifted = lift_margin_solutions(s, k, part, bound, divisor)
+                    lifted = lift_margin_solutions(s, part, bound, divisor)
                     assert lifted == expected, (part.modulus, part.multiplier, s, bound, divisor)
                     checked += 1
                     nonempty += bool(expected)
@@ -200,48 +192,46 @@ class TestLiftMarginSolutions:
         if len(part) > 8:
             bound = min(bound, 1)
         k = s * s
-        assert lift_margin_solutions(s, k, part, bound, divisor) == filtered_oracle(
+        assert lift_margin_solutions(s, part, bound, divisor) == filtered_oracle(
             s, k, part, bound, divisor
         )
 
     def test_solutions_carry_the_partition_sizes(self):
         part = orbits(16, 7)
-        sols = lift_margin_solutions(7, 49, part, 9)
+        sols = lift_margin_solutions(7, part, 9)
         assert len(sols) == 18
         assert all(sol.orbit_sizes == part.sizes for sol in sols)
 
     def test_modulus_one(self):
         part = orbits(1, 1)
-        assert [sol.values for sol in lift_margin_solutions(3, 9, part, 3)] == [(3,)]
-        assert lift_margin_solutions(3, 9, part, 2) == []
-        assert lift_margin_solutions(3, 9, part, 3, divisor=2) == []
+        assert [sol.values for sol in lift_margin_solutions(3, part, 3)] == [(3,)]
+        assert lift_margin_solutions(3, part, 2) == []
+        assert lift_margin_solutions(3, part, 3, divisor=2) == []
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            lift_margin_solutions(3, 10, orbits(7, 2), 3)
-        with pytest.raises(ValueError):
-            lift_margin_solutions(3, 9, orbits(7, 2), 3, divisor=0)
+            lift_margin_solutions(3, orbits(7, 2), 3, divisor=0)
 
 
 class TestSelfConjugacyFilter:
     def test_110_fold_onto_10_keeps_trivial_only(self):
         # orbit sizes of Z_10 under 3 are (1, 1, 4, 4); p = 3 with 3^4 | 81
-        sols = solve_margin_system(9, 81, (1, 1, 4, 4), 11)
+        sols = solve_margin_system(9, (1, 1, 4, 4), 11)
         kept = self_conjugacy_filter(sols, 3, 10, 2)
         assert {s.values for s in kept} == {(9, 0, 0, 0), (0, 9, 0, 0)}
         assert len(sols) > len(kept)
 
     def test_exponent_zero_is_identity(self):
-        sols = solve_margin_system(9, 81, (1, 5, 5), 13)
+        sols = solve_margin_system(9, (1, 5, 5), 13)
         assert self_conjugacy_filter(sols, 3, 11, 0) == sols
 
     def test_non_self_conjugate_rejected(self):
-        sols = solve_margin_system(9, 81, (1, 5, 5), 13)
+        sols = solve_margin_system(9, (1, 5, 5), 13)
         with pytest.raises(ValueError):
             self_conjugacy_filter(sols, 3, 11, 2)
 
     def test_survivors_divisible(self):
-        sols = solve_margin_system(8, 64, (1, 1, 2, 2, 2), 26)
+        sols = solve_margin_system(8, (1, 1, 2, 2, 2), 26)
         kept = self_conjugacy_filter(sols, 2, 8, 3)
         for sol in kept:
             assert all(b % 8 == 0 for b in sol.values)
@@ -252,7 +242,7 @@ class TestFoldConsistency:
         from cwm.groupring import fold
 
         part = orbits(7, 2)
-        sols = solve_margin_system(4, 16, part.sizes, 9)
+        sols = solve_margin_system(4, part.sizes, 9)
         kept = fold_consistency_filter(sols, part, 16)
         folded = fold(cw63, 7)
         true_values = tuple(folded.coeffs[rep] for rep, _ in part.orbits)
@@ -260,7 +250,7 @@ class TestFoldConsistency:
 
     def test_filters_inconsistent_moment_solutions(self):
         part = orbits(13, 3)
-        sols = solve_margin_system(9, 81, part.sizes, 11)
+        sols = solve_margin_system(9, part.sizes, 11)
         kept = fold_consistency_filter(sols, part, 81)
         # the (0,5,0,-1,-1)-type solutions satisfy the moments but not
         # the full product equation
@@ -275,7 +265,7 @@ class TestFoldConsistency:
     )
     def test_keeps_exactly_the_solutions_of_the_fold_equation(self, m, t, s, k, bound):
         part = orbits(m, t)
-        sols = solve_margin_system(s, k, part.sizes, bound)
+        sols = solve_margin_system(s, part.sizes, bound)
 
         def autocorrelation(sol):
             vec = part.expand(sol.values)
@@ -302,7 +292,7 @@ class TestShiftReduction:
 
     def test_110_rows_collapse(self):
         part = orbits(10, 3)
-        sols = solve_margin_system(9, 81, part.sizes, 11)
+        sols = solve_margin_system(9, part.sizes, 11)
         kept = self_conjugacy_filter(sols, 3, 10, 2)
         reduced = reduce_by_affine_maps(kept, part)
         assert len(reduced) == 1
@@ -312,7 +302,7 @@ class TestShiftReduction:
         # Z_10: translations only; Z_11 and Z_5: units outside <t> as well
         for m, t, s, k, bound in [(10, 3, 9, 81, 11), (11, 3, 9, 81, 10), (5, 4, 3, 9, 3)]:
             part = orbits(m, t)
-            sols = solve_margin_system(s, k, part.sizes, bound)
+            sols = solve_margin_system(s, part.sizes, bound)
             reduced = reduce_by_affine_maps(sols, part)
             perms = affine_orbit_permutations(part)
             for sol in reduced:
@@ -357,8 +347,8 @@ class TestMarginPairs:
         # only the zero translation commutes with 4 on Z_5 and 2 on Z_3,
         # but a unit u = 2 mod 5 swaps the orbits {1, 4} and {2, 3} of Z_5
         rows_part, cols_part = orbits(5, 4), orbits(3, 2)
-        rows = solve_margin_system(3, 9, rows_part.sizes, 3)
-        cols = solve_margin_system(3, 9, cols_part.sizes, 3)
+        rows = solve_margin_system(3, rows_part.sizes, 3)
+        cols = solve_margin_system(3, cols_part.sizes, 3)
         pairs = margin_pairs(rows, cols, rows_part, cols_part)
         assert len(rows) * len(cols) == 6
         assert len(pairs) == affine_pair_orbits(rows, cols, rows_part, cols_part) == 4
@@ -366,14 +356,14 @@ class TestMarginPairs:
         assert set(pairs) <= {(r.scaled, c.scaled) for r in rows for c in cols}
 
     def test_empty_rows_give_empty_output(self):
-        cols = solve_margin_system(3, 9, (1, 2), 3)
+        cols = solve_margin_system(3, (1, 2), 3)
         assert margin_pairs([], cols, orbits(5, 4), orbits(3, 2)) == []
 
     def test_63_16_pair_present(self):
         rows_part = orbits(9, 2)
         cols_part = orbits(7, 2)
-        rows = solve_margin_system(4, 16, rows_part.sizes, 7)
-        cols = solve_margin_system(4, 16, cols_part.sizes, 9)
+        rows = solve_margin_system(4, rows_part.sizes, 7)
+        cols = solve_margin_system(4, cols_part.sizes, 9)
         pairs = margin_pairs(rows, cols, rows_part, cols_part)
         assert ((4, 0, 0), (1, 6, -3)) in pairs
 
@@ -381,9 +371,9 @@ class TestMarginPairs:
         rows_part = orbits(10, 3)
         cols_part = orbits(11, 3)
         rows = self_conjugacy_filter(
-            solve_margin_system(9, 81, rows_part.sizes, 11), 3, 10, 2
+            solve_margin_system(9, rows_part.sizes, 11), 3, 10, 2
         )
-        cols = solve_margin_system(9, 81, cols_part.sizes, 10)
+        cols = solve_margin_system(9, cols_part.sizes, 10)
         reduced = margin_pairs(rows, cols, rows_part, cols_part)
         # the two row survivors are translates of one another; on Z_11 the
         # unit -1 swaps the two nonzero orbits of x -> 3x
