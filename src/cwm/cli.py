@@ -69,8 +69,6 @@ def cmd_orbits(args) -> int:
 
 def cmd_margins(args) -> int:
     config = plan(args.n, args.k, args.multiplier, args.coeff_bound, _factorization(args))
-    if args.multiplier is not None:
-        print(f"using supplied multiplier {args.multiplier} (soundness rests on the caller)")
     for part, bound in config.folds:
         if part.modulus == 1:
             continue

@@ -42,6 +42,7 @@ from .numbertheory import (
     multiplicative_order,
     prime_power_multiplier,
     self_conjugacy_divisor,
+    theorem_multipliers,
 )
 from .orbittable import OrbitTable, build, default_factorization
 
@@ -296,8 +297,12 @@ def weight_root(k: int) -> int:
 
 def derive_multiplier(n: int, k: int) -> int:
     """The multiplier a search of CW(n, k) uses: the prime-power rule,
-    else the composite-weight rule when gcd(n, k) = 1.  Raises
-    MethodInapplicable when neither gives one."""
+    else the least element above 1 of theorem_multipliers(n, k).  Raises
+    ValueError for a k that is not a positive square or an n below 1,
+    and MethodInapplicable when the theorems give no multiplier but 1."""
+    weight_root(k)
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
     t = prime_power_multiplier(n, k)
     if t is None and math.gcd(n, k) == 1:
         t = mcfarland_multiplier(n, k)
@@ -321,14 +326,16 @@ def plan(
 
     Orders with no coprime split get a 1 x n table, whose columns are the
     orbits of Z_n itself.  Raises ValueError for a k that is not a
-    positive square or a multiplier not coprime to n, and
-    MethodInapplicable when no multiplier is available.
+    positive square or a multiplier not in theorem_multipliers(n, k),
+    and MethodInapplicable when no multiplier is available.
     """
     weight_root(k)
-    if multiplier is None:
-        multiplier = derive_multiplier(n, k)
-    d, m = factorization or default_factorization(n, k, multiplier) or (1, n)
-    return SearchConfig(table=build(n, d, m, multiplier), k=k, coeff_bound=coeff_bound)
+    t = derive_multiplier(n, k) if multiplier is None else multiplier
+    d, m = factorization or default_factorization(n, k, t) or (1, n)
+    table = build(n, d, m, t)
+    if t % n not in theorem_multipliers(n, k):
+        raise ValueError(f"{t} is not a multiplier of CW({n},{k})")
+    return SearchConfig(table=table, k=k, coeff_bound=coeff_bound)
 
 
 def search(

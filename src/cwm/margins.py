@@ -11,7 +11,8 @@ one b per orbit of the multiplier on Z_m.  The fold B also satisfies the
 full fold equation B * B^(-1) = k, which these two moment identities
 only sample.  The margin targets that drive the exhaustive search are
 the solutions of that equation, with every b divisible by p^a where the
-self-conjugacy divisibility theorem applies.
+self-conjugacy divisibility theorem applies (p^(2a) || k, p not dividing
+the modulus and self-conjugate mod it).
 
 lift_margin_solutions finds them by quotient lifting: the fold of such a
 B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
@@ -209,15 +210,16 @@ def self_conjugacy_filter(
 ) -> list[MarginSolution]:
     """Keep only solutions with every b_i divisible by p^a.
 
-    Sound only when p is self-conjugate mod the folded modulus (checked
-    here); then the fold of any valid matrix is 0 mod p^a coefficientwise.
+    Sound only when p does not divide the folded modulus and is
+    self-conjugate mod it (checked here); then the fold of any valid
+    matrix is 0 mod p^a coefficientwise.
     """
     if a < 0:
         raise ValueError("a must be >= 0")
     if a == 0:
         return list(solutions)
-    if not is_self_conjugate(p, modulus):
-        raise ValueError(f"{p} is not self-conjugate mod {modulus}; filter would be unsound")
+    if not (modulus % p and is_self_conjugate(p, modulus)):
+        raise ValueError(f"self-conjugacy filter by {p}^{a} mod {modulus} would be unsound")
     q = p**a
     return [sol for sol in solutions if all(b % q == 0 for b in sol.values)]
 

@@ -125,26 +125,42 @@ def coprime_part(n: int, p: int) -> int:
     return n
 
 
+def powers(p: int, n: int) -> set[int]:
+    """The residues of p^e mod n for e >= 1."""
+    out: set[int] = set()
+    x = p % n
+    while x not in out:
+        out.add(x)
+        x = (x * p) % n
+    return out
+
+
 def is_self_conjugate(p: int, n: int) -> bool:
     """True iff p^i = -1 (mod v(n)) for some i, with v(n) the largest
     divisor of n coprime to p.  Vacuously true for v(n) <= 2."""
     v = coprime_part(n, p)
-    if v <= 2:
-        return True
-    target = v - 1
-    x = p % v
-    for _ in range(multiplicative_order(p, v)):
-        if x == target:
-            return True
-        x = (x * p) % v
-    return False
+    return v <= 2 or v - 1 in powers(p, v)
 
 
 def self_conjugacy_divisor(k: int, n: int) -> int:
-    """The product of p^(e//2) over the prime powers p^e || k with p
-    self-conjugate mod n.  It divides every coefficient of the fold onto
-    Z_n of a matrix of weight k (Arasu and Seberry)."""
-    return math.prod(p ** (e // 2) for p, e in factorize(k).items() if is_self_conjugate(p, n))
+    """The product of p^(e//2) over the prime powers p^e || k with p not
+    dividing n and self-conjugate mod n.  It divides every coefficient of
+    the fold onto Z_n of a matrix of weight k (Arasu and Seberry)."""
+    return math.prod(
+        p ** (e // 2) for p, e in factorize(k).items() if n % p and is_self_conjugate(p, n)
+    )
+
+
+def theorem_multipliers(n: int, k: int) -> set[int]:
+    """The residues mod n that the multiplier theorems make multipliers of
+    every CW(n, k) (Arasu and Seberry): 1, and when gcd(n, k) = 1 each
+    residue that is a power mod n of every prime divisor of k."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    out = {1 % n}
+    if k > 1 and math.gcd(n, k) == 1:
+        out |= set.intersection(*(powers(p, n) for p in factorize(k)))
+    return out
 
 
 def prime_power_multiplier(n: int, k: int) -> Optional[int]:
@@ -159,26 +175,11 @@ def prime_power_multiplier(n: int, k: int) -> Optional[int]:
 
 
 def mcfarland_multiplier(m: int, k: int) -> Optional[int]:
-    """Least t in [2, m-1] that is a power of every prime divisor of k
-    modulo m; None when only t = 1 qualifies.  Requires gcd(m, k) = 1."""
+    """The least element above 1 of theorem_multipliers(m, k); None when
+    only t = 1 qualifies.  Requires gcd(m, k) = 1."""
     if math.gcd(m, k) != 1:
         raise ValueError(f"gcd({m}, {k}) != 1")
-    if m <= 2:
-        return None
-    common: Optional[set[int]] = None
-    for p in factorize(k):
-        powers = set()
-        x = p % m
-        while x not in powers:
-            powers.add(x)
-            x = (x * p) % m
-        common = powers if common is None else common & powers
-        if common == {1}:
-            return None
-    if not common:
-        return None
-    candidates = sorted(t for t in common if t > 1)
-    return candidates[0] if candidates else None
+    return min((t for t in theorem_multipliers(m, k) if t > 1), default=None)
 
 
 def coprime_factor_pairs(n: int) -> list[tuple[int, int]]:

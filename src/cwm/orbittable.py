@@ -49,8 +49,6 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
         raise ValueError(f"{d} * {m} != {n}")
     if math.gcd(d, m) != 1:
         raise ValueError(f"{d} and {m} are not coprime")
-    if math.gcd(t, n) != 1:
-        raise ValueError(f"multiplier {t} is not coprime to {n}")
     part = orbits(n, t)
     rows = orbits(d, t % d)
     cols = orbits(m, t % m)

@@ -1,9 +1,9 @@
 """The names the benchmark under bench/ reaches into the package by.
 
 bench/tracing.py wraps the functions of its TRACED table, and
-bench/workloads.py calls the public API; a rename in the package would
-only show up when the benchmark runs.  These tests read bench/ and
-change nothing there.
+bench/workloads.py calls the public API; a rename in the package, or a
+set-up check that rejects a workload's search, would only show up when
+the benchmark runs.  These tests read bench/ and change nothing there.
 """
 
 import importlib
@@ -19,14 +19,17 @@ import cwm.cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("module,attr", [row[:2] for row in load_tracing().TRACED])
+WORKLOADS = load_bench("workloads")
+
+
+@pytest.mark.parametrize("module,attr", [row[:2] for row in load_bench("tracing").TRACED])
 def test_traced_function_resolves(module, attr):
     assert module.split(".")[0] == "cwm"
     assert callable(getattr(importlib.import_module(module), attr))
@@ -50,3 +53,18 @@ def test_catalog_layout_names():
     assert isinstance(cwm.catalog.RECORD_FILE, str)
     assert isinstance(cwm.catalog.WITNESS_DIR, str)
     assert isinstance(cwm.catalog.QUARANTINE_DIR, str)
+
+
+@pytest.mark.parametrize(
+    "n,k,t,bound",
+    WORKLOADS.CENSUS_SEARCHES + WORKLOADS.EXHAUST_SEARCHES + WORKLOADS.MARGIN_SEARCHES,
+)
+def test_workload_search_plans(n, k, t, bound):
+    cwm.exhaust.plan(n, k, t, bound)
+
+
+@pytest.mark.parametrize("n,k", WORKLOADS.CENSUS_ROWS)
+def test_census_row_plans(n, k):
+    # the contracted search icw_census runs for the row
+    d, m = cwm.exhaust.contraction_parameters(n, k)
+    cwm.exhaust.plan(m, k, cwm.exhaust.derive_multiplier(m, k), d)

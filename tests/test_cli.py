@@ -11,7 +11,8 @@ from cwm.groupring import witness_format, witness_parse
 # it, of `cwm search` and `cwm --seed-demo` before the search plan, and of
 # `cwm catalog import` then `close` before the catalog kept its verified
 # witness elements, and of `cwm census` before a search's weight check had
-# one owner
+# one owner.  `cwm margins -t` prints no caveat for a supplied multiplier,
+# which plan checks against the multiplier theorems.
 GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
@@ -178,11 +179,33 @@ class TestSearch:
             (("search", "--n", "7", "--k", "-4"), "k = -4 must be >= 1"),
             (("margins", "--n", "7", "--k", "-4"), "k = -4 must be >= 1"),
             (("search", "--n", "112", "--k", "35"), "k = 35 is not a perfect square"),
+            (("orbits", "--n", "7", "--k", "0"), "k = 0 must be >= 1"),
+            (("orbits", "--n", "12", "--k", "-4"), "k = -4 must be >= 1"),
+            (("orbits", "--n", "13", "--k", "3"), "k = 3 is not a perfect square"),
         ],
-        ids=["search-0", "margins-0", "search-neg", "margins-neg", "search-non-square"],
+        ids=["search-0", "margins-0", "search-neg", "margins-neg", "search-non-square",
+             "orbits-0", "orbits-neg", "orbits-non-square"],
     )
     def test_weight_not_a_positive_square_exits_2(self, capsys, argv, expect):
         assert run(capsys, *argv) == (2, "", f"error: {expect}\n")
+
+    @pytest.mark.parametrize("command", ["search", "margins", "orbits"])
+    def test_order_below_one_exits_2(self, capsys, command):
+        assert run(capsys, command, "--n", "0", "--k", "4") == (
+            2, "", "error: modulus must be positive, got 0\n"
+        )
+
+    def test_supplied_multiplier_must_be_a_multiplier(self, capsys):
+        # gcd(8, 4) = 2, so only t = 1 may be used, and CW(8,4) exists
+        assert run(capsys, "search", "--n", "8", "--k", "4", "-t", "3") == (
+            2, "", "error: 3 is not a multiplier of CW(8,4)\n"
+        )
+        assert run(capsys, "margins", "--n", "8", "--k", "4", "-t", "3") == (
+            2, "", "error: 3 is not a multiplier of CW(8,4)\n"
+        )
+        code, out, _ = run(capsys, "search", "--n", "8", "--k", "4", "-t", "1")
+        assert code == 0
+        assert out.startswith("CW(8,4): 2 equivalence classes ")
 
     def test_stats_line_gated(self, capsys):
         _, plain, _ = run(capsys, "search", "--n", "7", "--k", "4")

@@ -43,7 +43,7 @@ def enumerated_side(s, part, bound):
     consistency."""
     sols = solve_margin_system(s, part.sizes, bound)
     for p, e in factorize(s * s).items():
-        if e >= 2 and is_self_conjugate(p, part.modulus):
+        if e >= 2 and part.modulus % p and is_self_conjugate(p, part.modulus):
             sols = self_conjugacy_filter(sols, p, part.modulus, e // 2)
     return sols
 
@@ -67,6 +67,23 @@ def reference_classes(n, k, fold_consistency, symmetry_reduction, multiplier=Non
     for r, c in pairs:
         classes |= {sol.coeffs for sol in exhaust_pair(config, r, c).solutions}
     return classes
+
+
+def brute_force_classes(n, k):
+    """The class set of every CW(n, k), by enumeration: every class has a
+    member with +1 at 0 (translate a support point to 0, then negate if
+    needed)."""
+    brute = set()
+    for rest in itertools.combinations(range(1, n), k - 1):
+        for signs in itertools.product((1, -1), repeat=k - 1):
+            coeffs = [0] * n
+            coeffs[0] = 1
+            for x, sign in zip(rest, signs):
+                coeffs[x] = sign
+            a = GroupRingElement(n, tuple(coeffs))
+            if verify(a, k, 1):
+                brute.add(canonical_form(a).coeffs)
+    return brute
 
 
 class _OracleStop(Exception):
@@ -444,6 +461,40 @@ class TestPlan:
         with pytest.raises(ValueError, match="coeff_bound"):
             plan(63, 16, coeff_bound=0)
 
+    def test_supplied_multiplier_checked_against_the_theorems(self):
+        # gcd(8, 4) = 2 leaves only t = 1, and CW(8,4) exists
+        with pytest.raises(ValueError, match=r"^3 is not a multiplier of CW\(8,4\)$"):
+            plan(8, 4, multiplier=3)
+        assert plan(8, 4, multiplier=1).table.multiplier == 1
+        # 5 is a unit mod 63 but no power of 2
+        with pytest.raises(ValueError, match=r"^5 is not a multiplier of CW\(63,16\)$"):
+            plan(63, 16, multiplier=5)
+        # a multiplier not coprime to n is named as that first
+        with pytest.raises(ValueError, match="^multiplier 6 is not coprime to 8$"):
+            plan(8, 4, multiplier=6)
+
+    def test_every_derived_multiplier_accepted(self):
+        planned = 0
+        for n in range(1, 201):
+            for s in range(1, 13):
+                try:
+                    t = derive_multiplier(n, s * s)
+                except MethodInapplicable:
+                    continue
+                assert plan(n, s * s, multiplier=t).table.multiplier == t
+                planned += 1
+        assert planned == 1289
+
+    def test_derivation_checks_its_inputs_first(self):
+        for n, k, expect in (
+            (7, 0, "k = 0 must be >= 1"),
+            (12, -4, "k = -4 must be >= 1"),
+            (13, 3, "k = 3 is not a perfect square"),
+            (0, 4, "modulus must be positive, got 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{expect}$"):
+                derive_multiplier(n, k)
+
     def test_config_rejects_non_square_weight(self, table63):
         for k in (15, 0, -4):
             with pytest.raises(ValueError, match=f"k = {k} "):
@@ -486,19 +537,17 @@ class TestCompletenessOracles:
         [(n, k) for k, top in ((4, 30), (9, 13)) for n in range(1, top + 1) if math.gcd(n, k) == 1],
     )
     def test_class_set_matches_brute_force(self, n, k):
-        # every class has a member with +1 at 0: translate a support point
-        # to 0, then negate if needed
-        brute = set()
-        for rest in itertools.combinations(range(1, n), k - 1):
-            for signs in itertools.product((1, -1), repeat=k - 1):
-                coeffs = [0] * n
-                coeffs[0] = 1
-                for x, sign in zip(rest, signs):
-                    coeffs[x] = sign
-                a = GroupRingElement(n, tuple(coeffs))
-                if verify(a, k, 1):
-                    brute.add(canonical_form(a).coeffs)
-        assert {s.coeffs for s in search(n, k).solutions} == brute
+        assert {s.coeffs for s in search(n, k).solutions} == brute_force_classes(n, k)
+
+    # with gcd(n, k) > 1 only t = 1 is a multiplier, and the self-conjugacy
+    # divisor must skip the primes of k that divide a fold's modulus
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for k, top in ((4, 30), (9, 13)) for n in range(1, top + 1) if math.gcd(n, k) > 1],
+    )
+    def test_unit_multiplier_matches_brute_force(self, n, k):
+        outcome = search(n, k, multiplier=1)
+        assert {s.coeffs for s in outcome.solutions} == brute_force_classes(n, k)
 
     def test_margins_of_found_solutions_satisfy_folds(self):
         out = search(63, 16)
@@ -617,13 +666,24 @@ class TestSideMarginSolutions:
             assert all(sol.orbit_sizes == part.sizes for sol in lifted)
 
     def test_self_conjugacy_divisor_applies(self):
-        # 3 is self-conjugate mod 6 and 3^2 | 9, so every b is divisible by 3
-        part = orbits(6, 5)
-        assert self_conjugacy_divisor(9, 6) == 3
-        lifted = lift_margin_solutions(3, part, 3, divisor=3)
-        raw = enumerated_side(3, part, 3)
+        # 3 does not divide 10 and is self-conjugate mod 10 (3^2 = -1), and
+        # 3^4 || 81, so every b of a fold onto Z_10 is divisible by 9
+        part = orbits(10, 3)
+        assert self_conjugacy_divisor(81, 10) == 9
+        lifted = lift_margin_solutions(9, part, 11, divisor=9)
+        raw = enumerated_side(9, part, 11)
         assert [sol.values for sol in lifted] == [
-            sol.values for sol in fold_consistency_filter(raw, part, 9)
+            sol.values for sol in fold_consistency_filter(raw, part, 81)
         ]
-        assert [sol.values for sol in lifted] == [(0, 0, 0, 3), (3, 0, 0, 0)]
-        assert len(lift_margin_solutions(3, part, 3)) == 8
+        assert [sol.values for sol in lifted] == [(0, 0, 0, 9), (9, 0, 0, 0)]
+        # the divisor drops no fold-consistent solution
+        assert lift_margin_solutions(9, part, 11) == lifted
+        assert len(solve_margin_system(9, part.sizes, 11)) > len(lifted)
+
+    def test_self_conjugacy_divisor_skips_primes_dividing_the_modulus(self):
+        # 3 | 6, so the theorem says nothing about folds onto Z_6: some
+        # fold-consistent vectors there have coefficients prime to 3
+        part = orbits(6, 5)
+        assert self_conjugacy_divisor(9, 6) == 1
+        lifted = lift_margin_solutions(3, part, 3)
+        assert len(lifted) == 8 and any(b % 3 for sol in lifted for b in sol.values)

@@ -230,11 +230,20 @@ class TestSelfConjugacyFilter:
         with pytest.raises(ValueError):
             self_conjugacy_filter(sols, 3, 11, 2)
 
-    def test_survivors_divisible(self):
+    def test_prime_dividing_modulus_rejected(self):
+        # 2 | 8: the theorem says nothing about folds onto Z_8, and the
+        # CW(8,4) (-1,0,1,0,1,0,1,0) is its own fold with odd coefficients
         sols = solve_margin_system(8, (1, 1, 2, 2, 2), 26)
-        kept = self_conjugacy_filter(sols, 2, 8, 3)
+        with pytest.raises(ValueError, match="unsound"):
+            self_conjugacy_filter(sols, 2, 8, 3)
+
+    def test_survivors_divisible(self):
+        # 2^2 = -1 mod 5, so a fold onto Z_5 of weight 16 is 0 mod 4
+        sols = solve_margin_system(4, (1, 1, 1, 1, 1), 4)
+        kept = self_conjugacy_filter(sols, 2, 5, 2)
+        assert 0 < len(kept) < len(sols)
         for sol in kept:
-            assert all(b % 8 == 0 for b in sol.values)
+            assert all(b % 4 == 0 for b in sol.values)
 
 
 class TestFoldConsistency:

@@ -12,8 +12,10 @@ from cwm.numbertheory import (
     mcfarland_multiplier,
     multiplicative_order,
     orbits,
+    powers,
     prime_power_multiplier,
     self_conjugacy_divisor,
+    theorem_multipliers,
 )
 
 
@@ -120,14 +122,17 @@ class TestSelfConjugacyDivisor:
     def oracle(k, n):
         # the rule as the margin search and the factorization choice each
         # derived it: p^a for each p^(2a) dividing k maximally, a >= 1,
-        # with p self-conjugate mod n
+        # with p not dividing n and self-conjugate mod n
         exponents = [(p, e // 2) for p, e in factorize(k).items() if e >= 2]
-        return math.prod(p**a for p, a in exponents if is_self_conjugate(p, n))
+        return math.prod(p**a for p, a in exponents if n % p and is_self_conjugate(p, n))
 
     @pytest.mark.parametrize(
         "k,n,expect",
         [(81, 10, 9), (81, 11, 1), (16, 9, 4), (16, 63, 1), (8, 9, 2), (2, 9, 1),
-         (100, 3, 10), (49, 16, 1), (144, 1, 12), (1, 7, 1)],
+         (100, 3, 10), (49, 16, 1), (144, 1, 12), (1, 7, 1),
+         # p | n: the theorem does not apply, though p is vacuously
+         # self-conjugate mod the p-free part of n
+         (4, 8, 1), (9, 3, 1), (9, 6, 1), (36, 6, 1), (36, 10, 3)],
     )
     def test_values(self, k, n, expect):
         assert self_conjugacy_divisor(k, n) == expect
@@ -175,6 +180,34 @@ class TestMcFarland:
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
             mcfarland_multiplier(35, 25)
+
+
+class TestTheoremMultipliers:
+    def test_powers(self):
+        assert powers(2, 7) == {1, 2, 4}
+        assert powers(3, 10) == {1, 3, 7, 9}
+        assert powers(5, 1) == {0}
+
+    @pytest.mark.parametrize(
+        "n,k,expect",
+        [
+            (63, 16, {1, 2, 4, 8, 16, 32}),
+            (7, 4, {1, 2, 4}),
+            # 36 = 2^2 3^2: the residues that are powers of both 2 and 3
+            (35, 36, {1, 4, 9, 11, 16, 29}),
+            # a shared factor leaves only 1
+            (8, 4, {1}),
+            (112, 36, {1}),
+            (7, 1, {1}),
+            (1, 4, {0}),
+        ],
+    )
+    def test_values(self, n, k, expect):
+        assert theorem_multipliers(n, k) == expect
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
+            theorem_multipliers(0, 4)
 
 
 class TestCoprimeFactorPairs:
