@@ -16,7 +16,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import constructions
 from . import margins as margins_mod
-from .exhaust import MethodInapplicable, derive_multiplier, icw_census, plan, search
+from .exhaust import MethodInapplicable, icw_census, plan, search
 from .groupring import (
     WitnessFormatError,
     fold,
@@ -24,7 +24,6 @@ from .groupring import (
     witness_format,
     witness_parse,
 )
-from .numbertheory import orbits
 from .orbittable import build, default_factorization, render
 
 EXIT_OK = 0
@@ -52,17 +51,18 @@ def cmd_orbits(args) -> int:
     if args.multiplier is None and args.k is None:
         print("orbits needs --multiplier or --k", file=sys.stderr)
         return EXIT_USAGE
-    t = args.multiplier if args.multiplier is not None else derive_multiplier(args.n, args.k)
-    fact = _factorization(args) or default_factorization(args.n, args.k or 0, t)
-    if fact is None:
-        part = orbits(args.n, t)
-        print(f"orbits of Z_{args.n} under x -> {t}x (no coprime split):")
-        for rep, members in part.orbits:
+    fact = _factorization(args)
+    if args.k is None:  # no weight: the table of the supplied multiplier
+        t = args.multiplier
+        table = build(args.n, *(fact or default_factorization(args.n, 0, t)), t)
+    else:
+        table = plan(args.n, args.k, args.multiplier, 1, fact).table
+    if fact is None and table.d == 1:
+        print(f"orbits of Z_{args.n} under x -> {table.multiplier}x (no coprime split):")
+        for rep, members in table.partition.orbits:
             print(f"  <{rep}>_{len(members)} = {{{', '.join(map(str, members))}}}")
         return EXIT_OK
-    d, m = fact
-    table = build(args.n, d, m, t)
-    print(f"orbit table for n={args.n} = {d} x {m}, multiplier {t}")
+    print(f"orbit table for n={args.n} = {table.d} x {table.m}, multiplier {table.multiplier}")
     print(render(table), end="")
     return EXIT_OK
 

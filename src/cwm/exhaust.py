@@ -295,24 +295,6 @@ def weight_root(k: int) -> int:
     return s
 
 
-def derive_multiplier(n: int, k: int) -> int:
-    """The multiplier a search of CW(n, k) uses: the prime-power rule,
-    else the least element above 1 of theorem_multipliers(n, k).  Raises
-    ValueError for a k that is not a positive square or an n below 1,
-    and MethodInapplicable when the theorems give no multiplier but 1."""
-    weight_root(k)
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    t = prime_power_multiplier(n, k)
-    if t is None and math.gcd(n, k) == 1:
-        t = mcfarland_multiplier(n, k)
-    if t is None:
-        raise MethodInapplicable(
-            f"no multiplier derivable for n={n}, k={k}; supply one explicitly"
-        )
-    return t
-
-
 def plan(
     n: int,
     k: int,
@@ -324,15 +306,25 @@ def plan(
     supplied), the split n = d * m (the default one unless supplied), its
     orbit table and the coefficient bound.
 
-    Orders with no coprime split get a 1 x n table, whose columns are the
-    orbits of Z_n itself.  Raises ValueError for a k that is not a
-    positive square or a multiplier not in theorem_multipliers(n, k),
-    and MethodInapplicable when no multiplier is available.
+    The derived multiplier is the prime-power rule's, else the least
+    generator of theorem_multipliers(n, k).  Orders with no coprime split
+    get a 1 x n table, whose columns are the orbits of Z_n itself.
+    Raises ValueError for a k that is not a positive square or an n below
+    1, both checked before the multiplier is derived, or for a multiplier
+    not in theorem_multipliers(n, k); MethodInapplicable when none is
+    supplied and the theorems give none but 1.
     """
     weight_root(k)
-    t = derive_multiplier(n, k) if multiplier is None else multiplier
-    d, m = factorization or default_factorization(n, k, t) or (1, n)
-    table = build(n, d, m, t)
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    t = multiplier
+    if t is None and math.gcd(n, k) == 1:
+        t = prime_power_multiplier(n, k) or mcfarland_multiplier(n, k)
+    if t is None:
+        raise MethodInapplicable(
+            f"no multiplier derivable for n={n}, k={k}; supply one explicitly"
+        )
+    table = build(n, *(factorization or default_factorization(n, k, t)), t)
     if t % n not in theorem_multipliers(n, k):
         raise ValueError(f"{t} is not a multiplier of CW({n},{k})")
     return SearchConfig(table=table, k=k, coeff_bound=coeff_bound)
@@ -435,7 +427,7 @@ def icw_census(
     out = []
     for n, k in cases:
         d, m = contraction_parameters(n, k)
-        t = derive_multiplier(m, k)
+        t = plan(m, k, coeff_bound=d).table.multiplier
         outcome = search(m, k, multiplier=t, coeff_bound=d, mode=mode, jobs=jobs)
         out.append(
             CensusRow(

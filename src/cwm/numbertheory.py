@@ -81,16 +81,9 @@ def multiplicative_order(t: int, n: int) -> int:
     """Least e >= 1 with t^e = 1 (mod n)."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
-        return 1
     if math.gcd(t, n) != 1:
         raise ValueError(f"{t} is not coprime to {n}")
-    t %= n
-    e, x = 1, t
-    while x != 1:
-        x = (x * t) % n
-        e += 1
-    return e
+    return len(powers(t, n))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -175,11 +168,15 @@ def prime_power_multiplier(n: int, k: int) -> Optional[int]:
 
 
 def mcfarland_multiplier(m: int, k: int) -> Optional[int]:
-    """The least element above 1 of theorem_multipliers(m, k); None when
-    only t = 1 qualifies.  Requires gcd(m, k) = 1."""
+    """The least t > 1 whose powers mod m are all of theorem_multipliers(m, k),
+    so that x -> t*x fixes the vectors the whole theorem set fixes; None
+    when only t = 1 qualifies.  Requires gcd(m, k) = 1."""
     if math.gcd(m, k) != 1:
         raise ValueError(f"gcd({m}, {k}) != 1")
-    return min((t for t in theorem_multipliers(m, k) if t > 1), default=None)
+    allowed = theorem_multipliers(m, k)
+    return min(
+        (t for t in allowed if t > 1 and len(powers(t, m)) == len(allowed)), default=None
+    )
 
 
 def coprime_factor_pairs(n: int) -> list[tuple[int, int]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .numbertheory import OrbitPartition, coprime_factor_pairs, orbits, self_conjugacy_divisor
 
@@ -61,19 +60,19 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     return OrbitTable(n, d, m, t, part, rows, cols, boxes)
 
 
-def default_factorization(n: int, k: int, t: int) -> Optional[tuple[int, int]]:
+def default_factorization(n: int, k: int, t: int) -> tuple[int, int]:
     """Pick (d, m) for the search table.
 
     Maximizes min(#row orbits, #col orbits); ties prefer making the rows
     the side whose fold is trivialized by self-conjugacy (strongest
-    pruning), then the smaller d.  None when n has no coprime split.
+    pruning), then the smaller d.  (1, n) when n has no coprime split.
     Raises ValueError for a multiplier not coprime to n.
     """
     if math.gcd(t, n) != 1:
         raise ValueError(f"multiplier {t} is not coprime to {n}")
     pairs = coprime_factor_pairs(n)
     if not pairs:
-        return None
+        return 1, n
 
     def score(pair):
         d, m = pair

@@ -1,14 +1,16 @@
 """The names the benchmark under bench/ reaches into the package by.
 
 bench/tracing.py wraps the functions of its TRACED table, and
-bench/workloads.py calls the public API; a rename in the package, or a
-set-up check that rejects a workload's search, would only show up when
-the benchmark runs.  These tests read bench/ and change nothing there.
+bench/workloads.py calls the public API; a rename in the package, a
+set-up check that rejects a workload's search, or a multiplier rule that
+moves a census row off its pinned verdict would only show up when the
+benchmark runs.  These tests read bench/ and change nothing there.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -63,8 +65,13 @@ def test_workload_search_plans(n, k, t, bound):
     cwm.exhaust.plan(n, k, t, bound)
 
 
+VERDICTS = json.loads((BENCH / "verdicts.json").read_text())
+
+
 @pytest.mark.parametrize("n,k", WORKLOADS.CENSUS_ROWS)
 def test_census_row_plans(n, k):
-    # the contracted search icw_census runs for the row
+    # the contracted search icw_census runs for the row, with the (d, m, t)
+    # the benchmark pins for it
     d, m = cwm.exhaust.contraction_parameters(n, k)
-    cwm.exhaust.plan(m, k, cwm.exhaust.derive_multiplier(m, k), d)
+    t = cwm.exhaust.plan(m, k, coeff_bound=d).table.multiplier
+    assert [d, m, t] == VERDICTS["census"][f"census({n},{k})"][2:5]

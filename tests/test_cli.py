@@ -10,9 +10,10 @@ from cwm.groupring import witness_format, witness_parse
 # stdout of `cwm margins` as the enumerate-then-filter margin path printed
 # it, of `cwm search` and `cwm --seed-demo` before the search plan, and of
 # `cwm catalog import` then `close` before the catalog kept its verified
-# witness elements, and of `cwm census` before a search's weight check had
-# one owner.  `cwm margins -t` prints no caveat for a supplied multiplier,
-# which plan checks against the multiplier theorems.
+# witness elements, of `cwm census` before a search's weight check had
+# one owner, and of `cwm orbits` before it read the search plan.  `cwm
+# margins -t` prints no caveat for a supplied multiplier, which plan checks
+# against the multiplier theorems.
 GOLDEN = Path(__file__).parent / "golden"
 
 def witness_path(name: str) -> str:
@@ -182,9 +183,10 @@ class TestSearch:
             (("orbits", "--n", "7", "--k", "0"), "k = 0 must be >= 1"),
             (("orbits", "--n", "12", "--k", "-4"), "k = -4 must be >= 1"),
             (("orbits", "--n", "13", "--k", "3"), "k = 3 is not a perfect square"),
+            (("orbits", "--n", "7", "--k", "0", "-t", "2"), "k = 0 must be >= 1"),
         ],
         ids=["search-0", "margins-0", "search-neg", "margins-neg", "search-non-square",
-             "orbits-0", "orbits-neg", "orbits-non-square"],
+             "orbits-0", "orbits-neg", "orbits-non-square", "orbits-0-t"],
     )
     def test_weight_not_a_positive_square_exits_2(self, capsys, argv, expect):
         assert run(capsys, *argv) == (2, "", f"error: {expect}\n")
@@ -201,6 +203,9 @@ class TestSearch:
             2, "", "error: 3 is not a multiplier of CW(8,4)\n"
         )
         assert run(capsys, "margins", "--n", "8", "--k", "4", "-t", "3") == (
+            2, "", "error: 3 is not a multiplier of CW(8,4)\n"
+        )
+        assert run(capsys, "orbits", "--n", "8", "--k", "4", "-t", "3") == (
             2, "", "error: 3 is not a multiplier of CW(8,4)\n"
         )
         code, out, _ = run(capsys, "search", "--n", "8", "--k", "4", "-t", "1")
@@ -224,6 +229,19 @@ class TestOrbitsAndMargins:
         code, out, _ = run(capsys, "orbits", "--n", "13", "--multiplier", "3")
         assert code == 0
         assert "<1>_3" in out
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("--n", "63", "--k", "16"), "orbits_63_16.txt"),
+            (("--n", "13", "--k", "9"), "orbits_13_9.txt"),
+            # an explicit 1 x 12 split renders a table, not the orbit list
+            (("--n", "12", "-t", "5", "--d", "1", "--m", "12"), "orbits_12_t5_d1_m12.txt"),
+        ],
+        ids=["63-16", "13-9-no-split", "12-t5-d1-m12"],
+    )
+    def test_orbits_stdout_golden(self, capsys, argv, name):
+        assert run(capsys, "orbits", *argv) == (0, (GOLDEN / name).read_text(), "")
 
     def test_margins_output(self, capsys):
         code, out, _ = run(capsys, "margins", "--n", "110", "--k", "81")

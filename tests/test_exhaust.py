@@ -11,7 +11,6 @@ from cwm.exhaust import (
     MethodInapplicable,
     SearchConfig,
     contraction_parameters,
-    derive_multiplier,
     exhaust_pair,
     icw_census,
     off_peak_vanishes,
@@ -31,8 +30,10 @@ from cwm.numbertheory import (
     factorize,
     is_self_conjugate,
     mcfarland_multiplier,
+    multiplicative_order,
     orbits,
     self_conjugacy_divisor,
+    theorem_multipliers,
 )
 from cwm.orbittable import build
 
@@ -257,6 +258,14 @@ class TestSearch:
         with pytest.raises(MethodInapplicable):
             search(112, 36)  # gcd(n, k) > 1 and k not a prime power
 
+    def test_generator_multiplier_finishes_143_100(self):
+        # t = 25 generates the theorem set of (143,100) and leaves 21
+        # orbits; t = 12 generates a proper subgroup, leaves 77 orbits, and
+        # its search runs past 20M nodes
+        assert plan(143, 100).table.multiplier == 25
+        out = search(143, 100)
+        assert out.exhaustive and out.classes == 0
+
     def test_supplied_multiplier_for_composite_weight(self):
         # composite weight with coprime order: the composite-weight rule
         # applies automatically and matches an explicit supply
@@ -362,7 +371,7 @@ class TestSearchCounters:
 
     def test_census_row_105_36(self):
         d, m = contraction_parameters(105, 36)
-        t = derive_multiplier(m, 36)
+        t = plan(m, 36, coeff_bound=d).table.multiplier
         assert (d, m, t) == (3, 35, 4)
         out = search(m, 36, multiplier=t, coeff_bound=d)
         assert out.exhaustive
@@ -474,14 +483,18 @@ class TestPlan:
             plan(8, 4, multiplier=6)
 
     def test_every_derived_multiplier_accepted(self):
+        # and generates the theorem set: gcd(n, k) = 1, so some translate of
+        # a solution is fixed by every theorem multiplier at once, and the
+        # search may use the coarsest partition, that of a generator
         planned = 0
         for n in range(1, 201):
             for s in range(1, 13):
                 try:
-                    t = derive_multiplier(n, s * s)
+                    t = plan(n, s * s).table.multiplier
                 except MethodInapplicable:
                     continue
                 assert plan(n, s * s, multiplier=t).table.multiplier == t
+                assert multiplicative_order(t, n) == len(theorem_multipliers(n, s * s)), (n, s)
                 planned += 1
         assert planned == 1289
 
@@ -493,7 +506,7 @@ class TestPlan:
             (0, 4, "modulus must be positive, got 0"),
         ):
             with pytest.raises(ValueError, match=f"^{expect}$"):
-                derive_multiplier(n, k)
+                plan(n, k)
 
     def test_config_rejects_non_square_weight(self, table63):
         for k in (15, 0, -4):
@@ -570,7 +583,7 @@ class TestCensus:
         # contracted case the search's rule gives the same multiplier
         for n, k in CONTRACTED_SEARCH_CASES:
             _, m = contraction_parameters(n, k)
-            assert derive_multiplier(m, k) == mcfarland_multiplier(m, k)
+            assert plan(m, k).table.multiplier == mcfarland_multiplier(m, k)
 
     def test_single_empty_row(self):
         rows = icw_census(cases=[(182, 64)])

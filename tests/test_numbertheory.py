@@ -165,6 +165,17 @@ class TestMcFarland:
     def test_census_rows(self, m, k, t):
         assert mcfarland_multiplier(m, k) == t
 
+    # the least element above 1 of the theorem set generates only a proper
+    # subgroup of it here: 3 has order 10 in the 30-element set mod 61, 3
+    # order 5 of 55 mod 121, 12 order 2 of 10 mod 143, 13 order 3 of 15
+    # mod 183
+    @pytest.mark.parametrize(
+        "m,k,t", [(61, 100, 4), (121, 100, 4), (143, 100, 25), (183, 100, 16)]
+    )
+    def test_least_generator_of_the_theorem_set(self, m, k, t):
+        assert mcfarland_multiplier(m, k) == t
+        assert powers(t, m) == theorem_multipliers(m, k)
+
     def test_result_is_power_of_each_prime(self):
         for m, k in ((35, 36), (65, 81), (33, 100), (13, 36)):
             t = mcfarland_multiplier(m, k)

@@ -135,8 +135,8 @@ class TestDefaultFactorization:
     def test_110(self):
         assert default_factorization(110, 81, 3) == (10, 11)
 
-    def test_prime_returns_none(self):
-        assert default_factorization(13, 9, 3) is None
+    def test_prime_returns_unit_split(self):
+        assert default_factorization(13, 9, 3) == (1, 13)
 
 
 class TestRender:
