@@ -69,13 +69,12 @@ def cmd_orbits(args) -> int:
 
 def cmd_margins(args) -> int:
     config = plan(args.n, args.k, args.multiplier, args.coeff_bound, _factorization(args))
-    for part, bound in config.folds:
+    for (part, bound), consistent in zip(config.folds, config.margin_solutions()):
         if part.modulus == 1:
             continue
         raw = margins_mod.count_margin_solutions(config.s, part.sizes, bound)
         print(f"fold onto Z_{part.modulus}: orbit sizes {part.sizes}, |b_i| <= {bound}")
         print(f"  {raw} solutions of the two moment equations")
-        consistent = margins_mod.lift_margin_solutions(config.s, part, bound)
         print(f"  {len(consistent)} remain after full fold consistency")
         for sol in consistent:
             print(f"    b = {sol.values}  scaled = {sol.scaled}")

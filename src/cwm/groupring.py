@@ -162,7 +162,8 @@ def weight(a: GroupRingElement) -> Optional[int]:
     for i, ai in terms:
         for j, aj in terms:
             acc[i - j] += ai * aj  # a negative index wraps to (i - j) mod n
-    return None if any(acc[1:]) else acc[0]
+    peak, acc[0] = acc[0], 0  # clear the peak in place: no copy for the scan
+    return None if any(acc) else peak
 
 
 def verify(a: GroupRingElement, k: int, coeff_bound: int = 1) -> bool:
@@ -253,10 +254,19 @@ def proper_decomposition(a: GroupRingElement) -> Optional[tuple[int, GroupRingEl
     return None
 
 
+# the coefficients of a {0, +-1} witness, coded through tables in C;
+# any other coefficient or token takes the int()/str() path
+_VALUE = {"0": 0, "1": 1, "-1": -1}
+_TOKEN = {value: token for token, value in _VALUE.items()}
+
+
 def witness_format(a: GroupRingElement, k: int, coeff_bound: int = 1) -> str:
     """Two-line witness text: header then the n coefficients."""
     head = f"CW {a.order} {k} {coeff_bound}"
-    body = " ".join(str(c) for c in a.coeffs)
+    try:
+        body = " ".join(map(_TOKEN.__getitem__, a.coeffs))
+    except KeyError:  # a coefficient beyond +-1
+        body = " ".join(map(str, a.coeffs))
     return head + "\n" + body + "\n"
 
 
@@ -278,12 +288,18 @@ def witness_parse(text: str) -> tuple[GroupRingElement, int, int]:
         raise WitnessFormatError(f"non-integer header field in {lines[0]!r}") from exc
     if n < 1 or k < 1 or bound < 1:
         raise WitnessFormatError(f"header values out of range: {lines[0]!r}")
-    try:
-        coeffs = [int(tok) for tok in lines[1].split()]
-    except ValueError as exc:
-        raise WitnessFormatError("non-integer coefficient") from exc
+    tokens = lines[1].split()
+    coeffs = tuple(map(_VALUE.get, tokens))
+    # table-coded values are 0 and +-1 only, so within every bound >= 1
+    table_coded = None not in coeffs
+    if not table_coded:  # a token such as "2", "+1", "01" or "x"
+        try:
+            coeffs = tuple(map(int, tokens))
+        except ValueError as exc:
+            raise WitnessFormatError("non-integer coefficient") from exc
     if len(coeffs) != n:
         raise WitnessFormatError(f"expected {n} coefficients, got {len(coeffs)}")
-    if max(max(coeffs), -min(coeffs)) > bound:  # n >= 1, so coeffs is not empty
+    # n >= 1, so coeffs is not empty
+    if not table_coded and max(max(coeffs), -min(coeffs)) > bound:
         raise WitnessFormatError(f"coefficient exceeds bound {bound}")
-    return GroupRingElement(n, tuple(coeffs)), k, bound
+    return GroupRingElement(n, coeffs), k, bound

@@ -118,6 +118,24 @@ class TestPersistence:
         assert cat.record(7, 16).witness is None
         assert cat.witness_element(7, 16) is None
 
+    @pytest.mark.parametrize(
+        "body,kept",
+        [("-1 1 1 0 2 0 0", False), ("-1 +1 01 0 1 0 -0", True)],
+        ids=["coefficient-2", "int-path-tokens"],
+    )
+    def test_load_holds_witness_to_bound_in_parser(self, tmp_path, cw7, body, kept):
+        (tmp_path / RECORD_FILE).write_text("7\t4\texists\twitnesses/cw7_4.cw\thand edit\n")
+        (tmp_path / "witnesses").mkdir()
+        (tmp_path / "witnesses" / "cw7_4.cw").write_text(f"CW 7 4 1\n{body}\n")
+        cat = Catalog(tmp_path)
+        if kept:
+            assert cat.warnings == [] and cat.witness_element(7, 4) == cw7
+        else:
+            assert cat.warnings == [
+                "witness for (7,4) quarantined: coefficient exceeds bound 1"
+            ]
+            assert cat.witness_element(7, 4) is None
+
     def test_unknown_cell_reads_open(self, tmp_path):
         assert Catalog(tmp_path).status(57, 49) == "open"
 
@@ -275,6 +293,44 @@ class TestCandidatesOracle:
         icw = element(11, [rng.randint(-3, 3) for _ in range(11)])
         for b in (cw7, cw63, icw, element(1, [-2])):
             assert multiple(b, d) == multiple_oracle(b, d)
+
+
+def render_oracle(cat, n_max, k_max):
+    """render_table as one status() call per cell."""
+    symbol = {"exists": "E", "nonexistent": "-", "open": "?"}
+    cols = range(1, n_max + 1)
+    lines = [
+        "existence by weight row (E exists, - nonexistent, ? open)",
+        " " * 7 + "".join(str((n // 10) % 10) if n % 10 == 0 else " " for n in cols),
+    ]
+    for s in range(1, math.isqrt(k_max) + 1):
+        row = "".join(symbol[cat.status(n, s * s)] for n in cols)
+        lines.append(f"k={s * s:>4} {row}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderOracle:
+    @pytest.fixture
+    def cat(self, tmp_path):
+        cat = seed_known_results(tmp_path)
+        for n, k in ((250, 81), (201, 4), (50, 20), (60, 2), (30, 121), (10, 400), (0, 4)):
+            cat.upsert(CatalogRecord(n, k, "nonexistent", None, "outside the window"))
+        return cat
+
+    @pytest.mark.parametrize(
+        "n_max,k_max",
+        [(None, None), (200, 100), (120, 49), (300, 120), (9, 1), (1, 1), (57, 50)],
+    )
+    def test_matches_status_per_cell(self, cat, n_max, k_max):
+        expected = render_oracle(
+            cat, cat.n_max if n_max is None else n_max, cat.k_max if k_max is None else k_max
+        )
+        assert cat.render_table(n_max, k_max) == expected
+
+    @pytest.mark.parametrize("n_max,k_max", [(0, 100), (-3, 4), (5, 0)])
+    def test_bounds_below_one_raise(self, cat, n_max, k_max):
+        with pytest.raises(ValueError, match="table bounds must be >= 1"):
+            cat.render_table(n_max, k_max)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
+import contextlib
 import importlib.resources
+import signal
 from pathlib import Path
 
 import pytest
 
 from cwm import constructions
 from cwm.cli import main
+from cwm.exhaust import plan
 from cwm.groupring import witness_format, witness_parse
 
 # stdout of `cwm margins` as the enumerate-then-filter margin path printed
@@ -24,6 +27,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block once it has run for the given seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestVerify:
@@ -266,6 +284,26 @@ class TestOrbitsAndMargins:
         code, out, _ = run(capsys, "margins", *argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    # (73,36) and (109,100) took minutes and seconds to list before their
+    # fold's self-conjugacy divisor pruned the lift
+    @pytest.mark.parametrize("n,k", [(73, 36), (109, 100), (63, 16), (144, 49)])
+    def test_margins_lists_the_plans_solutions(self, capsys, n, k):
+        config = plan(n, k)
+        with alarm(30):
+            code, out, _ = run(capsys, "margins", "--n", str(n), "--k", str(k))
+        sides = [
+            sols
+            for (part, _), sols in zip(config.folds, config.margin_solutions())
+            if part.modulus > 1
+        ]
+        assert code == 0
+        assert [ln for ln in out.splitlines() if ln.startswith("    b = ")] == [
+            f"    b = {sol.values}  scaled = {sol.scaled}" for sols in sides for sol in sols
+        ]
+        assert [int(ln.split()[0]) for ln in out.splitlines() if "remain after" in ln] == [
+            len(sols) for sols in sides
+        ]
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

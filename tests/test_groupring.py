@@ -374,3 +374,71 @@ class TestWitnessFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(WitnessFormatError):
             witness_parse(text)
+
+
+# coefficient vectors with their bound: zero-heavy, and negatives at every bound
+bounded_vectors = st.integers(1, 3).flatmap(
+    lambda bound: st.tuples(
+        st.just(bound),
+        st.lists(st.just(0) | st.integers(-bound, bound), min_size=1, max_size=80),
+    )
+)
+
+
+class TestWitnessCodec:
+    """The table-driven codec against the int()/str() path it stands in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(data=(1, [0]), k=1)
+    @example(data=(1, [-1] * 9), k=4)
+    @example(data=(3, [-3, 0, 3, 2, -2]), k=26)
+    @given(data=bounded_vectors, k=st.integers(1, 10**6))
+    def test_round_trip(self, data, k):
+        bound, coeffs = data
+        a = element(len(coeffs), coeffs)
+        assert witness_parse(witness_format(a, k, bound)) == (a, k, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @example(data=(2, [2, -2, 0, 1, -1]), k=9)
+    @given(data=bounded_vectors, k=st.integers(1, 10**6))
+    def test_format_matches_str_oracle(self, data, k):
+        bound, coeffs = data
+        text = witness_format(element(len(coeffs), coeffs), k, bound)
+        assert text == f"CW {len(coeffs)} {k} {bound}\n" + " ".join(str(c) for c in coeffs) + "\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "+1 01 -0 1 0 0 -1",
+            "-01 +0 1 0 0 0 00",
+            "1\t0  -1\t\t0 1   0 0",
+            "  -1 1\t1 0 +1  0 0 ",
+        ],
+        ids=["plus-and-leading-zero", "signed-zeros", "tabs-and-spaces", "mixed"],
+    )
+    def test_other_tokens_parse_as_int(self, body):
+        elem, k, bound = witness_parse(f"CW 7 4 1\n{body}\n")
+        assert (elem.coeffs, k, bound) == (tuple(int(tok) for tok in body.split()), 4, 1)
+
+    @pytest.mark.parametrize("token", ["1.0", "x"])
+    def test_non_integer_token(self, token):
+        with pytest.raises(WitnessFormatError, match="^non-integer coefficient$"):
+            witness_parse(f"CW 7 4 1\n-1 1 1 0 {token} 0 0\n")
+
+    def test_bound_held_on_the_int_path(self):
+        with pytest.raises(WitnessFormatError, match="^coefficient exceeds bound 1$"):
+            witness_parse("CW 7 4 1\n-1 1 1 0 2 0 0\n")
+        elem, _, bound = witness_parse("CW 7 4 2\n-1 1 1 0 2 0 0\n")
+        assert (elem.coeffs, bound) == ((-1, 1, 1, 0, 2, 0, 0), 2)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("x 1", "non-integer coefficient"),  # the token before the count
+            ("2 1", "expected 7 coefficients, got 2"),  # the count before the bound
+            ("1 0", "expected 7 coefficients, got 2"),
+        ],
+    )
+    def test_error_order(self, body, message):
+        with pytest.raises(WitnessFormatError, match=f"^{message}$"):
+            witness_parse(f"CW 7 4 1\n{body}\n")
