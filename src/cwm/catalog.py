@@ -54,6 +54,8 @@ class CatalogRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+        if self.n < 1 or self.k < 1:
+            raise ValueError(f"n and k must be >= 1, got ({self.n},{self.k})")
 
 
 # parameters settled by the margin analyses over multiplier orbits
@@ -246,21 +248,30 @@ class Catalog:
 
     def import_dir(self, path: Path | str) -> list[CatalogRecord]:
         """Register every valid witness file found in a directory; a cell
-        keeps the verified witness it already holds."""
+        keeps the verified witness it already holds.  Raises
+        NotADirectoryError, before anything is written, when path is no
+        directory."""
+        path = Path(path)
+        if not path.is_dir():
+            raise NotADirectoryError(f"not a directory: {path}")
         added = []
-        for file in sorted(Path(path).glob("*.cw")):
+        for file in sorted(path.glob("*.cw")):
             try:
                 elem, k, _ = witness_parse(file.read_text())
-                if (elem.order, k) in self.witnesses and verify(elem, k):
-                    self.warnings.append(
-                        f"{file.name}: ({elem.order},{k}) already has a verified witness; skipped"
-                    )
-                    continue
+            except (OSError, ValueError) as exc:  # unreadable, or malformed
+                self.warnings.append(f"{file.name}: {exc}")
+                continue
+            if (elem.order, k) in self.witnesses and verify(elem, k):
+                self.warnings.append(
+                    f"{file.name}: ({elem.order},{k}) already has a verified witness; skipped"
+                )
+                continue
+            try:
                 rec = self.upsert(
                     CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
                     element=elem,
                 )
-            except ValueError as exc:  # a malformed file, or one that fails verification
+            except ValueError as exc:  # the witness fails verification
                 self.warnings.append(f"{file.name}: {exc}")
                 continue
             if rec is not None:
@@ -322,7 +333,7 @@ class Catalog:
         rows = {s * s: ["?"] * n_max for s in range(1, math.isqrt(k_max) + 1)}
         for (n, k), rec in self.records.items():
             row = rows.get(k)
-            if row is not None and 1 <= n <= n_max:
+            if row is not None and n <= n_max:
                 row[n - 1] = symbol[rec.status]
         lines.extend(f"k={k:>4} {''.join(row)}" for k, row in rows.items())
         return "\n".join(lines) + "\n"

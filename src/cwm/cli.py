@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / solutions found, 1 exhaustively nonexistent (or
-failed verification), 2 usage error, 3 method inapplicable, 4 node
+failed verification), 2 usage or file error, 3 method inapplicable, 4 node
 budget exceeded.
 """
 
@@ -21,6 +21,7 @@ from .groupring import (
     WitnessFormatError,
     fold,
     verify,
+    weight,
     witness_format,
     witness_parse,
 )
@@ -144,17 +145,14 @@ def cmd_construct(args) -> int:
             print("construct cw14m needs --m", file=sys.stderr)
             return EXIT_USAGE
         out = constructions.cw14m_family(args.m)
-        k = 16
     else:
         if len(args.inputs) != 2:
             print(f"construct {args.what} needs exactly two witness files", file=sys.stderr)
             return EXIT_USAGE
-        (a, ka, _), (b, kb, _) = map(_read_witness, args.inputs)
-        if args.what == "kronecker":
-            out, k = constructions.kronecker(a, b), ka * kb
-        else:
-            out, k = constructions.type_ii(a, b), 4 * ka
-    bound = out.max_abs_coeff()
+        (a, _, _), (b, _, _) = map(_read_witness, args.inputs)
+        build = constructions.kronecker if args.what == "kronecker" else constructions.type_ii
+        out = build(a, b)
+    k, bound = weight(out), out.max_abs_coeff()
     print(f"constructed {_kind(out.order, k, bound)}: {out}")
     if args.out:
         Path(args.out).write_text(witness_format(out, k, bound))
@@ -340,7 +338,7 @@ def main(argv=None) -> int:
     except MethodInapplicable as exc:
         print(f"method inapplicable: {exc}", file=sys.stderr)
         code = EXIT_INAPPLICABLE
-    except (ValueError, WitnessFormatError, catalog_mod.CatalogIntegrityError) as exc:
+    except (ValueError, OSError, catalog_mod.CatalogIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if args.stats:

@@ -2,15 +2,16 @@
 
 Covers multiples B(X^d), the coprime-order Kronecker product, the
 doubling sum (1 - X^n)B(X) + (1 + X^n)C(X^2), the proper weight-16
-family on orders 14m, and the parameter list predicted by the relative
-difference set construction.
+family on orders 14m (an instance of the doubling sum), and the
+parameter list predicted by the relative difference set construction.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
-from .groupring import GroupRingElement, proper_decomposition, verify, weight
+from .groupring import GroupRingElement, from_support, proper_decomposition, shift, verify, weight
 from .numbertheory import crt_combine, is_prime_power
 
 # the weight-4 matrix of order 7: -1 + X + X^2 + X^4
@@ -54,46 +55,36 @@ def kronecker(a1: GroupRingElement, a2: GroupRingElement) -> GroupRingElement:
     return out
 
 
+def _doubling(b: GroupRingElement, d: GroupRingElement, k: int) -> GroupRingElement:
+    """(1 - X^n) B + (1 + X^n) D on Z_2n, weight 4k, for B and D of order
+    2n whose supports, and those of X^n B and X^n D, are pairwise disjoint."""
+    n = b.order // 2
+    xb, xd = shift(b, n), shift(d, n)
+    parts = {"B": b, "X^n B": xb, "D": d, "X^n D": xd}
+    for (x, ex), (y, ey) in combinations(parts.items(), 2):
+        overlap = set(ex.support) & set(ey.support)
+        if overlap:
+            raise ValueError(f"supports of {x} and {y} overlap at {sorted(overlap)}")
+    terms = zip(b.coeffs, xb.coeffs, d.coeffs, xd.coeffs)
+    out = GroupRingElement(b.order, tuple(p - q + r + t for p, q, r, t in terms))
+    if not verify(out, 4 * k, 1):
+        raise AssertionError("doubling construction failed verification")
+    return out
+
+
 def type_ii(b: GroupRingElement, c: GroupRingElement) -> GroupRingElement:
     """(1 - X^n) B(X) + (1 + X^n) C(X^2) on Z_2n, weight 4k.
 
     B must be a weight-k matrix of order 2n and C one of order n; the
-    supports of B, X^n B, C(X^2), X^n C(X^2) must be pairwise disjoint.
+    supports of B, X^n B, C(X^2), X^n C(X^2) must be pairwise disjoint
+    (an overlap error names C(X^2) as D).
     """
     if b.order != 2 * c.order:
         raise ValueError(f"order of B ({b.order}) must be twice order of C ({c.order})")
-    n = c.order
-    n2 = b.order
     kb, kc = _weight_of(b), _weight_of(c)
     if kb != kc:
         raise ValueError(f"weights differ: {kb} vs {kc}")
-    parts = {
-        "B": set(b.support),
-        "X^n B": {(i + n) % n2 for i in b.support},
-        "C(X^2)": {(2 * i) % n2 for i in c.support},
-        "X^n C(X^2)": {(2 * i + n) % n2 for i in c.support},
-    }
-    names = list(parts)
-    for x in range(len(names)):
-        for y in range(x + 1, len(names)):
-            overlap = parts[names[x]] & parts[names[y]]
-            if overlap:
-                raise ValueError(
-                    f"supports of {names[x]} and {names[y]} overlap at {sorted(overlap)}"
-                )
-    coeffs = [0] * n2
-    for i, v in enumerate(b.coeffs):
-        if v:
-            coeffs[i] += v
-            coeffs[(i + n) % n2] -= v
-    for i, v in enumerate(c.coeffs):
-        if v:
-            coeffs[(2 * i) % n2] += v
-            coeffs[(2 * i + n) % n2] += v
-    out = GroupRingElement(n2, tuple(coeffs))
-    if not verify(out, 4 * kb, 1):
-        raise AssertionError("doubling construction failed verification")
-    return out
+    return _doubling(b, multiple(c, 2), kb)
 
 
 def cw14m_family(m: int) -> GroupRingElement:
@@ -101,24 +92,18 @@ def cw14m_family(m: int) -> GroupRingElement:
 
         (1 - X^{7m}) C(X^{2m}) + (1 + X^{7m}) X C(X^m)
 
-    with C the weight-4 matrix of order 7.  The four summands have
-    disjoint supports for m >= 2, and the result is proper because the
-    exponents 0, 1, 2m, 7m can share no common translate residue.
+    with C the weight-4 matrix of order 7: the doubling sum of B = C(X^{2m})
+    and D = X C(X^m).  The four summands have disjoint supports for m >= 2,
+    and the result is proper because the exponents 0, 1, 2m, 7m can share
+    no common translate residue.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     n = 14 * m
-    coeffs = [0] * n
-    for i, v in enumerate(CW7_4.coeffs):
-        if not v:
-            continue
-        coeffs[(2 * m * i) % n] += v
-        coeffs[(2 * m * i + 7 * m) % n] -= v
-        coeffs[(m * i + 1) % n] += v
-        coeffs[(m * i + 1 + 7 * m) % n] += v
-    out = GroupRingElement(n, tuple(coeffs))
-    if not verify(out, 16, 1):
-        raise AssertionError(f"order-{n} family element failed verification")
+    xc = from_support(  # X C(X^m)
+        n, (m * i + 1 for i in CW7_4.positives), (m * i + 1 for i in CW7_4.negatives)
+    )
+    out = _doubling(multiple(CW7_4, 2 * m), xc, 4)
     if proper_decomposition(out) is not None:
         raise AssertionError(f"order-{n} family element is not proper")
     return out

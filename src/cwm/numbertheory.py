@@ -129,8 +129,14 @@ def powers(p: int, n: int) -> set[int]:
 
 
 def is_self_conjugate(p: int, n: int) -> bool:
-    """True iff p^i = -1 (mod v(n)) for some i, with v(n) the largest
-    divisor of n coprime to p.  Vacuously true for v(n) <= 2."""
+    """True iff the prime p is self-conjugate mod n: p^i = -1 (mod v(n))
+    for some i >= 1, with v(n) the largest divisor of n coprime to p.
+    Vacuously true for v(n) <= 2, where -1 = 1 = p^0.
+
+    This is Turyn's definition (Pacific J. Math. 15 (1965)), the one the
+    self-conjugacy argument of Arasu and Seberry, J. Combin. Des. 4
+    (1996), rests on; it is written from that standard statement, not
+    quoted from either paper."""
     v = coprime_part(n, p)
     return v <= 2 or v - 1 in powers(p, v)
 
@@ -138,7 +144,15 @@ def is_self_conjugate(p: int, n: int) -> bool:
 def self_conjugacy_divisor(k: int, n: int) -> int:
     """The product of p^(e//2) over the prime powers p^e || k with p not
     dividing n and self-conjugate mod n.  It divides every coefficient of
-    the fold onto Z_n of a matrix of weight k (Arasu and Seberry)."""
+    the fold onto Z_n of a matrix of weight k.
+
+    The theorem (self-conjugacy, as used by Arasu and Seberry, J. Combin.
+    Des. 4 (1996)): if p^(2a) || k, p is self-conjugate mod n and p does
+    not divide n, then p^a divides chi(B) for every character chi of Z_n,
+    and so every coefficient of B, the fold onto Z_n.  The code checks
+    exactly those two hypotheses on p; e is even whenever k is a square.
+    The statement is reconstructed from the standard argument, not quoted
+    from the paper."""
     return math.prod(
         p ** (e // 2) for p, e in factorize(k).items() if n % p and is_self_conjugate(p, n)
     )
@@ -146,8 +160,17 @@ def self_conjugacy_divisor(k: int, n: int) -> int:
 
 def theorem_multipliers(n: int, k: int) -> set[int]:
     """The residues mod n that the multiplier theorems make multipliers of
-    every CW(n, k) (Arasu and Seberry): 1, and when gcd(n, k) = 1 each
-    residue that is a power mod n of every prime divisor of k."""
+    every CW(n, k): 1, and when gcd(n, k) = 1 each residue that is a power
+    mod n of every prime divisor of k.
+
+    The theorem is the multiplier theorem for circulant weighing matrices
+    of Arasu and Seberry, J. Combin. Des. 4 (1996): t is a multiplier of
+    every CW(n, k) when, for each prime p | k, t = p^f (mod n) for some
+    f >= 1.  The only hypothesis the code checks is gcd(n, k) = 1.  That
+    hypothesis list is reconstructed, not quoted from the paper, and it
+    may be incomplete: a condition of the published theorem that is
+    missing here would let a search assume a multiplier the theorem does
+    not grant, and so miss classes."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     out = {1 % n}
@@ -157,7 +180,13 @@ def theorem_multipliers(n: int, k: int) -> set[int]:
 
 
 def prime_power_multiplier(n: int, k: int) -> Optional[int]:
-    """The prime p when k = p^(2r) is a prime power and gcd(n, k) = 1."""
+    """The prime p when k = p^(2r) is a prime power and gcd(n, k) = 1.
+
+    The prime-power case of the multiplier theorem of Arasu and Seberry,
+    J. Combin. Des. 4 (1996): p is a multiplier of every CW(n, p^(2r))
+    with p not dividing n.  The code checks that k is an even power of
+    one prime and that gcd(n, k) = 1; p lies in theorem_multipliers(n, k).
+    The hypotheses are reconstructed, not quoted from the paper."""
     pp = is_prime_power(k)
     if pp is None:
         return None
@@ -170,7 +199,10 @@ def prime_power_multiplier(n: int, k: int) -> Optional[int]:
 def mcfarland_multiplier(m: int, k: int) -> Optional[int]:
     """The least t > 1 whose powers mod m are all of theorem_multipliers(m, k),
     so that x -> t*x fixes the vectors the whole theorem set fixes; None
-    when only t = 1 qualifies.  Requires gcd(m, k) = 1."""
+    when only t = 1 qualifies.  Requires gcd(m, k) = 1.
+
+    It adds no theorem of its own: it applies the multiplier theorem of
+    Arasu and Seberry under the hypotheses theorem_multipliers checks."""
     if math.gcd(m, k) != 1:
         raise ValueError(f"gcd({m}, {k}) != 1")
     allowed = theorem_multipliers(m, k)

@@ -156,6 +156,30 @@ class TestPersistence:
         assert list(cat.records) == [(130, 81)]
         assert len(cat.warnings) == 1 and "malformed record skipped" in cat.warnings[0]
 
+    def test_order_or_weight_below_one_skipped_with_warning(self, tmp_path):
+        (tmp_path / RECORD_FILE).write_text(
+            "0\t4\tnonexistent\t-\thand edit\n"
+            "-5\t-9\texists\t-\texternal hand edit\n"
+            "130\t81\tnonexistent\t-\tanalysis\n"
+        )
+        cat = Catalog(tmp_path)
+        assert list(cat.records) == [(130, 81)]
+        assert cat.warnings == [
+            "malformed record skipped (n and k must be >= 1, got (0,4)): "
+            "'0\\t4\\tnonexistent\\t-\\thand edit'",
+            "malformed record skipped (n and k must be >= 1, got (-5,-9)): "
+            "'-5\\t-9\\texists\\t-\\texternal hand edit'",
+        ]
+        cat.save()
+        assert (tmp_path / RECORD_FILE).read_text() == "130\t81\tnonexistent\t-\tanalysis\n"
+
+    @pytest.mark.parametrize("n,k", [(0, 4), (-5, -9), (7, 0)])
+    def test_upsert_refuses_order_or_weight_below_one(self, tmp_path, n, k):
+        cat = Catalog(tmp_path)
+        with pytest.raises(ValueError, match="n and k must be >= 1"):
+            cat.upsert(CatalogRecord(n, k, "nonexistent", None, "hand edit"))
+        assert cat.records == {}
+
     def test_failed_save_keeps_old_records(self, tmp_path):
         cat = Catalog(tmp_path)
         cat.upsert(CatalogRecord(110, 81, "nonexistent", None, "analysis"))
@@ -313,7 +337,7 @@ class TestRenderOracle:
     @pytest.fixture
     def cat(self, tmp_path):
         cat = seed_known_results(tmp_path)
-        for n, k in ((250, 81), (201, 4), (50, 20), (60, 2), (30, 121), (10, 400), (0, 4)):
+        for n, k in ((250, 81), (201, 4), (50, 20), (60, 2), (30, 121), (10, 400)):
             cat.upsert(CatalogRecord(n, k, "nonexistent", None, "outside the window"))
         return cat
 

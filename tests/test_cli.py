@@ -14,7 +14,8 @@ from cwm.groupring import witness_format, witness_parse
 # it, of `cwm search` and `cwm --seed-demo` before the search plan, and of
 # `cwm catalog import` then `close` before the catalog kept its verified
 # witness elements, of `cwm census` before a search's weight check had
-# one owner, and of `cwm orbits` before it read the search plan.  `cwm
+# one owner, of `cwm orbits` before it read the search plan, and of `cwm
+# construct` before it read a construction's weight from its result.  `cwm
 # margins -t` prints no caveat for a supplied multiplier, which plan checks
 # against the multiplier theorems.
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,6 +110,14 @@ class TestSearch:
         assert code == 0
         elem, k, bound = witness_parse(target.read_text())
         assert k == 4 and elem.order == 7
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # CW(7,4) exists, so a file error must not read as exit 1
+        target = tmp_path / "no" / "such" / "dir" / "x.cw"
+        code, out, err = run(capsys, "search", "--n", "7", "--k", "4", "--out", str(target))
+        assert code == 2
+        assert out.startswith("CW(7,4): 1 equivalence classes")
+        assert err.startswith("error: [Errno 2] No such file or directory")
 
     def test_witness_out_carries_its_own_bound(self, capsys, tmp_path):
         # the first class of ICW_3(7,4) is -2, so its witness has bound 2
@@ -383,6 +392,45 @@ class TestConstruct:
         assert code == 0
         assert "CW(42,16)" in out
 
+    def test_stdout_golden(self, capsys, tmp_path):
+        from cwm.constructions import CW7_4, multiple
+        from cwm.groupring import shift
+
+        (tmp_path / "icw7.cw").write_text("CW 7 16 2\n-2 2 2 0 2 0 0\n")
+        (tmp_path / "b.cw").write_text(witness_format(shift(multiple(CW7_4, 6), 1), 4, 1))
+        (tmp_path / "c.cw").write_text(witness_format(multiple(CW7_4, 3), 4, 1))
+        out = ""
+        for argv in (
+            ("kronecker", witness_path("cw7_4.cw"), witness_path("cw13_9.cw")),
+            ("kronecker", str(tmp_path / "icw7.cw"), witness_path("cw13_9.cw")),
+            ("type2", str(tmp_path / "b.cw"), str(tmp_path / "c.cw")),
+            ("cw14m", "--m", "3"),
+            ("cw14m", "--m", "14"),
+        ):
+            code, stdout, _ = run(capsys, "construct", *argv)
+            assert code == 0
+            out += stdout
+        assert out == (GOLDEN / "construct.txt").read_text()
+
+    def test_weight_read_from_the_result_not_the_header(self, capsys, tmp_path):
+        # a weight-4 element whose header claims weight 9
+        lying = tmp_path / "lying.cw"
+        lying.write_text("CW 7 9 1\n-1 1 1 0 1 0 0\n")
+        target = tmp_path / "out.cw"
+        code, out, _ = run(
+            capsys, "construct", "kronecker", str(lying), witness_path("cw13_9.cw"),
+            "--out", str(target),
+        )
+        assert code == 0 and out.startswith("constructed CW(91,36): ")
+        assert target.read_text().startswith("CW 91 36 1\n")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "x.cw"
+        code, out, err = run(capsys, "construct", "cw14m", "--m", "2", "--out", str(target))
+        assert code == 2
+        assert out.startswith("constructed CW(28,16): ")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     def test_type2_overlap_reported(self, capsys, tmp_path):
         from cwm.constructions import CW7_4, multiple
 
@@ -506,6 +554,28 @@ class TestCatalog:
             "warning: witness for (7,4) quarantined: "
             "witness does not verify against its record\n"
         )
+
+    def test_import_skips_unreadable_entry(self, capsys, tmp_path):
+        incoming = tmp_path / "incoming"
+        (incoming / "src.cw").mkdir(parents=True)
+        (incoming / "cw7_4.cw").write_text(witness_format(constructions.CW7_4, 4, 1))
+        cat = tmp_path / "cat"
+        code, out, err = run(capsys, "catalog", "import", str(incoming), "--dir", str(cat))
+        assert code == 0 and out == "imported 1 witnesses\n"
+        assert err.startswith("warning: src.cw: [Errno 21] Is a directory")
+        assert len(err.splitlines()) == 1
+        assert (cat / "records.tsv").read_text().startswith("7\t4\texists\twitnesses/cw7_4.cw\t")
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_import_from_no_directory_exits_2(self, capsys, tmp_path, kind):
+        source = tmp_path / "no" / "such" / "dir"
+        if kind == "file":
+            source = tmp_path / "cw7_4.cw"
+            source.write_text(witness_format(constructions.CW7_4, 4, 1))
+        cat = tmp_path / "cat"
+        code, out, err = run(capsys, "catalog", "import", str(source), "--dir", str(cat))
+        assert (code, out, err) == (2, "", f"error: not a directory: {source}\n")
+        assert not cat.exists()
 
     def test_import_without_path_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CW_CATALOG_DIR", str(tmp_path / "cat"))

@@ -1,7 +1,10 @@
+import importlib.resources
+
 import pytest
 
 from cwm.constructions import (
     CW7_4,
+    _doubling,
     cw14m_family,
     kronecker,
     multiple,
@@ -10,13 +13,71 @@ from cwm.constructions import (
     type_ii,
 )
 from cwm.groupring import (
+    GroupRingElement,
     are_equivalent,
     canonical_form,
     delta,
     proper_decomposition,
     shift,
     verify,
+    weight,
+    witness_parse,
 )
+
+
+def type_ii_oracle(b, c):
+    """type_ii as the index formulas wrote (1 - X^n) B + (1 + X^n) C(X^2)
+    before it went through the one doubling sum."""
+    if b.order != 2 * c.order:
+        raise ValueError("orders")
+    n, n2 = c.order, b.order
+    kb, kc = weight(b), weight(c)
+    if kb is None or kc is None or kb != kc:
+        raise ValueError("weights")
+    parts = [
+        set(b.support),
+        {(i + n) % n2 for i in b.support},
+        {(2 * i) % n2 for i in c.support},
+        {(2 * i + n) % n2 for i in c.support},
+    ]
+    if any(parts[x] & parts[y] for x in range(4) for y in range(x + 1, 4)):
+        raise ValueError("overlap")
+    coeffs = [0] * n2
+    for i, v in enumerate(b.coeffs):
+        if v:
+            coeffs[i] += v
+            coeffs[(i + n) % n2] -= v
+    for i, v in enumerate(c.coeffs):
+        if v:
+            coeffs[(2 * i) % n2] += v
+            coeffs[(2 * i + n) % n2] += v
+    out = GroupRingElement(n2, tuple(coeffs))
+    if not verify(out, 4 * kb, 1):
+        raise AssertionError("verification")
+    return out
+
+
+def cw14m_oracle(m):
+    """cw14m_family as its own index loop wrote it before it went through
+    the one doubling sum."""
+    n = 14 * m
+    coeffs = [0] * n
+    for i, v in enumerate(CW7_4.coeffs):
+        if not v:
+            continue
+        coeffs[(2 * m * i) % n] += v
+        coeffs[(2 * m * i + 7 * m) % n] -= v
+        coeffs[(m * i + 1) % n] += v
+        coeffs[(m * i + 1 + 7 * m) % n] += v
+    return GroupRingElement(n, tuple(coeffs))
+
+
+def outcome(build, *args):
+    """build(*args), or the class of the exception it raises."""
+    try:
+        return build(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
 
 
 class TestMultiple:
@@ -75,8 +136,32 @@ class TestTypeII:
 
     def test_overlapping_supports_rejected(self, cw7):
         b = multiple(cw7, 2)  # on Z_14; C(X^2) has the same even support
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="supports of B and D overlap at"):
             type_ii(b, cw7)
+
+    def test_doubling_names_both_overlapping_summands(self, cw7):
+        b = multiple(cw7, 2)
+        overlap = r"supports of B and X\^n D overlap at \[0, 2, 4, 8\]"
+        with pytest.raises(ValueError, match=overlap):
+            _doubling(b, shift(b, 7), 4)
+
+    def test_matches_index_formula_oracle(self):
+        # every (B of order 2n, C of order n) among shifts 0..11 of the
+        # multiples 1..8 of the bundled witnesses and CW(7,4)
+        witnesses = importlib.resources.files("cwm").joinpath("data", "witnesses")
+        bases = [CW7_4] + [
+            witness_parse(witnesses.joinpath(name).read_text())[0]
+            for name in ("cw7_4.cw", "cw13_9.cw", "cw26_9.cw", "cw63_16.cw")
+        ]
+        elems = [shift(multiple(a, d), s) for a in bases for d in range(1, 9) for s in range(12)]
+        pairs = [(b, c) for b in elems for c in elems if b.order == 2 * c.order]
+        assert len(pairs) == 5472
+        rejected = 0
+        for b, c in pairs:
+            expect = outcome(type_ii_oracle, b, c)
+            assert outcome(type_ii, b, c) == expect, (b, c)
+            rejected += not isinstance(expect, GroupRingElement)
+        assert rejected == 2449
 
     def test_weight_count_of_output(self, cw7):
         b = shift(multiple(cw7, 6), 1)
@@ -105,6 +190,10 @@ class TestFamily14m:
             a = cw14m_family(m)
             for e in (0, 1, 2 * m, 7 * m):
                 assert a.coeffs[e] != 0
+
+    def test_matches_index_formula_oracle(self):
+        for m in range(2, 151):
+            assert cw14m_family(m) == cw14m_oracle(m), m
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -562,6 +562,27 @@ class TestCompletenessOracles:
         outcome = search(n, k, multiplier=1)
         assert {s.coeffs for s in outcome.solutions} == brute_force_classes(n, k)
 
+    @pytest.mark.parametrize(
+        "k,orders,exists",
+        [
+            (9, [n for n in range(1, 201) if n % 3], lambda n: n % 13 == 0),
+            (16, range(1, 201, 2), lambda n: n % 21 == 0 or n % 31 == 0),
+        ],
+        ids=["weight9-coprime-to-3", "weight16-odd"],
+    )
+    def test_existence_patterns_up_to_200(self, k, orders, exists):
+        """The first-mode search's answers over n <= 200: with 3 not dividing
+        n a CW(n,9) exists iff 13 | n, and for odd n a CW(n,16) exists iff
+        21 | n or 31 | n; every "none" is exhaustive.  These agree with the
+        weight-9 and weight-16 classifications as recalled from Arasu,
+        Dillon, Jungnickel & Pott, JCTA 71 (1995) and Arasu, Leung, Ma,
+        Nabavi & Ray-Chaudhuri, FFA 12 (2006).  They are pinned as the
+        search's answers; they have not been checked against the papers."""
+        for n in orders:
+            outcome = search(n, k, mode="first")
+            assert (outcome.classes > 0) == exists(n), n
+            assert outcome.classes > 0 or outcome.exhaustive, n
+
     def test_margins_of_found_solutions_satisfy_folds(self):
         out = search(63, 16)
         for sol in out.solutions:
