@@ -56,6 +56,9 @@ class CatalogRecord:
             raise ValueError(f"unknown status {self.status!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got ({self.n},{self.k})")
+        # a tab or line break would split the record's line in records.tsv
+        if any(c in (self.witness or "") + self.provenance for c in "\t\r\n"):
+            raise ValueError("witness and provenance must not hold a tab or line break")
 
 
 # parameters settled by the margin analyses over multiplier orbits
@@ -271,7 +274,7 @@ class Catalog:
                     CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
                     element=elem,
                 )
-            except ValueError as exc:  # the witness fails verification
+            except ValueError as exc:  # a witness or file name that fails a check
                 self.warnings.append(f"{file.name}: {exc}")
                 continue
             if rec is not None:

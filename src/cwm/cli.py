@@ -107,8 +107,7 @@ def cmd_search(args) -> int:
     for sol in solutions:
         print(f"  {sol}")
     if args.out and solutions:
-        witness = solutions[0]
-        Path(args.out).write_text(witness_format(witness, args.k, witness.max_abs_coeff()))
+        Path(args.out).write_text(witness_format(solutions[0], args.k))
         print(f"witness written to {args.out}")
     if not outcome.exhaustive:
         print("node budget exceeded; search is NOT exhaustive", file=sys.stderr)
@@ -152,10 +151,10 @@ def cmd_construct(args) -> int:
         (a, _, _), (b, _, _) = map(_read_witness, args.inputs)
         build = constructions.kronecker if args.what == "kronecker" else constructions.type_ii
         out = build(a, b)
-    k, bound = weight(out), out.max_abs_coeff()
-    print(f"constructed {_kind(out.order, k, bound)}: {out}")
+    k = weight(out)
+    print(f"constructed {_kind(out.order, k, out.max_abs_coeff())}: {out}")
     if args.out:
-        Path(args.out).write_text(witness_format(out, k, bound))
+        Path(args.out).write_text(witness_format(out, k))
         print(f"witness written to {args.out}")
     return EXIT_OK
 

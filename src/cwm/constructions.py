@@ -57,7 +57,8 @@ def kronecker(a1: GroupRingElement, a2: GroupRingElement) -> GroupRingElement:
 
 def _doubling(b: GroupRingElement, d: GroupRingElement, k: int) -> GroupRingElement:
     """(1 - X^n) B + (1 + X^n) D on Z_2n, weight 4k, for B and D of order
-    2n whose supports, and those of X^n B and X^n D, are pairwise disjoint."""
+    2n whose supports, and those of X^n B and X^n D, are pairwise disjoint;
+    each coefficient is one of B or D, so their larger bound holds."""
     n = b.order // 2
     xb, xd = shift(b, n), shift(d, n)
     parts = {"B": b, "X^n B": xb, "D": d, "X^n D": xd}
@@ -67,7 +68,7 @@ def _doubling(b: GroupRingElement, d: GroupRingElement, k: int) -> GroupRingElem
             raise ValueError(f"supports of {x} and {y} overlap at {sorted(overlap)}")
     terms = zip(b.coeffs, xb.coeffs, d.coeffs, xd.coeffs)
     out = GroupRingElement(b.order, tuple(p - q + r + t for p, q, r, t in terms))
-    if not verify(out, 4 * k, 1):
+    if not verify(out, 4 * k, max(b.max_abs_coeff(), d.max_abs_coeff())):
         raise AssertionError("doubling construction failed verification")
     return out
 

@@ -41,7 +41,6 @@ from .numbertheory import (
     mcfarland_multiplier,
     multiplicative_order,
     prime_power_multiplier,
-    self_conjugacy_divisor,
     theorem_multipliers,
 )
 from .orbittable import OrbitTable, build, default_factorization
@@ -88,15 +87,11 @@ class SearchConfig:
         )
 
     def margin_solutions(self) -> tuple[list[margins_mod.MarginSolution], ...]:
-        """The margin solutions of the row fold and of the column fold,
-        after every sound filter: the solutions of the fold equation
-        lifted through the quotients of the fold, each b divisible by the
-        self-conjugacy divisor."""
+        """The margin solutions of the row fold and of the column fold:
+        the solutions of the fold equation, lifted through the quotients
+        of the fold and pruned by the self-conjugacy theorem."""
         return tuple(
-            margins_mod.lift_margin_solutions(
-                self.s, part, bound, self_conjugacy_divisor(self.k, part.modulus)
-            )
-            for part, bound in self.folds
+            margins_mod.lift_margin_solutions(self.s, part, bound) for part, bound in self.folds
         )
 
 

@@ -58,12 +58,8 @@ class GroupRingElement:
                 continue
             mag = "" if abs(a) == 1 else str(abs(a))
             base = "1" if i == 0 and abs(a) == 1 else ("" if i == 0 else f"X^{i}")
-            txt = (mag + base) or "1"
-            terms.append(("-" if a < 0 else "+") + txt)
-        if not terms:
-            return "0"
-        out = " ".join(terms)
-        return out[1:] if out.startswith("+") else ("-" + out[2:] if out.startswith("- ") else out)
+            terms.append(("-" if a < 0 else "+") + mag + base)
+        return " ".join(terms).removeprefix("+") or "0"
 
 
 def element(order: int, coeffs: Iterable[int]) -> GroupRingElement:
@@ -260,14 +256,14 @@ _VALUE = {"0": 0, "1": 1, "-1": -1}
 _TOKEN = {value: token for token, value in _VALUE.items()}
 
 
-def witness_format(a: GroupRingElement, k: int, coeff_bound: int = 1) -> str:
-    """Two-line witness text: header then the n coefficients."""
-    head = f"CW {a.order} {k} {coeff_bound}"
+def witness_format(a: GroupRingElement, k: int) -> str:
+    """Two-line witness text: the header "CW n k bound", with bound the
+    largest absolute coefficient, then the n coefficients."""
     try:
-        body = " ".join(map(_TOKEN.__getitem__, a.coeffs))
+        body, bound = " ".join(map(_TOKEN.__getitem__, a.coeffs)), 1
     except KeyError:  # a coefficient beyond +-1
-        body = " ".join(map(str, a.coeffs))
-    return head + "\n" + body + "\n"
+        body, bound = " ".join(map(str, a.coeffs)), a.max_abs_coeff()
+    return f"CW {a.order} {k} {bound}\n{body}\n"
 
 
 def witness_parse(text: str) -> tuple[GroupRingElement, int, int]:

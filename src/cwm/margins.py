@@ -10,14 +10,14 @@ b_i with
 one b per orbit of the multiplier on Z_m.  The fold B also satisfies the
 full fold equation B * B^(-1) = k, which these two moment identities
 only sample.  The margin targets that drive the exhaustive search are
-the solutions of that equation, with every b divisible by p^a where the
-self-conjugacy divisibility theorem applies (p^(2a) || k, p not dividing
-the modulus and self-conjugate mod it).
+the solutions of that equation.
 
 lift_margin_solutions finds them by quotient lifting: the fold of such a
 B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
 set is built from Z_1 = (s) one prime at a time, each level keeping only
-vectors with B * B^(-1) = k.  solve_margin_system enumerates every
+vectors with B * B^(-1) = k and pruning by the self-conjugacy theorem
+(p^a divides every b when p^(2a) || k, p does not divide the modulus and
+is self-conjugate mod it).  solve_margin_system enumerates every
 solution of the two moment identities instead; it stays as the oracle
 the lifter is tested against, and count_margin_solutions counts its
 solutions without listing them.
@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .groupring import GroupRingElement, weight
-from .numbertheory import OrbitPartition, factorize, is_self_conjugate, orbits
+from .numbertheory import (
+    OrbitPartition, factorize, is_self_conjugate, orbits, self_conjugacy_divisor
+)
 
 
 @dataclass(frozen=True)
@@ -100,24 +102,21 @@ def count_margin_solutions(s: int, orbit_sizes: Sequence[int], bound: int) -> in
     return states.get((s, k), 0)
 
 
-def lift_margin_solutions(
-    s: int, partition: OrbitPartition, bound: int, divisor: int = 1
-) -> list[MarginSolution]:
-    """Orbit-constant B on Z_m with sum s, B * B^(-1) = k = s^2,
-    |b_i| <= bound and every b_i divisible by divisor, in lexicographic
-    order.
+def lift_margin_solutions(s: int, partition: OrbitPartition, bound: int) -> list[MarginSolution]:
+    """Orbit-constant B on Z_m with sum s, B * B^(-1) = k = s^2 and
+    |b_i| <= bound, in lexicographic order: fold_consistency_filter(
+    solve_margin_system(s, partition.sizes, bound), partition, k).
 
-    The same list as fold_consistency_filter applied to the solutions of
-    solve_margin_system(s, partition.sizes, bound) that divisor divides,
-    found by lifting from Z_1 through the prime chain of m.  A solution
+    Found by lifting from Z_1 through the prime chain of m.  A solution
     on Z_m folds onto a solution on each Z_q (q | m) with bound
     bound * m / q, so every level keeps every fold of a final solution.
+    By the self-conjugacy theorem self_conjugacy_divisor(k, m) divides
+    every b of a solution, and so of its folds; every level prunes by it.
     """
-    if divisor < 1:
-        raise ValueError("divisor must be >= 1")
     k = s * s
     m = partition.modulus
-    if abs(s) > bound * m or s % divisor:
+    divisor = self_conjugacy_divisor(k, m)
+    if abs(s) > bound * m:
         return []
     parent = orbits(1, 1)
     level = [MarginSolution(parent.sizes, (s,))]

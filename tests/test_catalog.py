@@ -180,6 +180,14 @@ class TestPersistence:
             cat.upsert(CatalogRecord(n, k, "nonexistent", None, "hand edit"))
         assert cat.records == {}
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_record_refuses_a_field_separator(self, char):
+        # a tab or line break would split the record's line in the file
+        with pytest.raises(ValueError, match="tab or line break"):
+            CatalogRecord(7, 4, "exists", f"witnesses/a{char}b.cw", "hand edit")
+        with pytest.raises(ValueError, match="tab or line break"):
+            CatalogRecord(7, 4, "nonexistent", None, f"hand{char}edit")
+
     def test_failed_save_keeps_old_records(self, tmp_path):
         cat = Catalog(tmp_path)
         cat.upsert(CatalogRecord(110, 81, "nonexistent", None, "analysis"))
@@ -198,8 +206,8 @@ class TestImport:
     def test_import_directory(self, tmp_path, cw7, cw13):
         src = tmp_path / "incoming"
         src.mkdir()
-        (src / "a.cw").write_text(witness_format(cw7, 4, 1))
-        (src / "b.cw").write_text(witness_format(cw13, 9, 1))
+        (src / "a.cw").write_text(witness_format(cw7, 4))
+        (src / "b.cw").write_text(witness_format(cw13, 9))
         (src / "bad.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
         cat = Catalog(tmp_path / "cat")
         added = cat.import_dir(src)
@@ -208,6 +216,18 @@ class TestImport:
         assert cat.warnings == [
             "bad.cw: witness for (7,4) fails verification; upsert blocked"
         ]
+
+    @pytest.mark.parametrize("name", ["a\tb.cw", "a\nb.cw"], ids=["tab", "newline"])
+    def test_name_no_record_can_hold_skipped_before_any_write(self, tmp_path, cw7, name):
+        src = tmp_path / "incoming"
+        src.mkdir()
+        (src / name).write_text(witness_format(cw7, 4))
+        cat = Catalog(tmp_path / "cat")
+        assert cat.import_dir(src) == []
+        assert cat.warnings == [
+            f"{name}: witness and provenance must not hold a tab or line break"
+        ]
+        assert cat.records == {} and not (tmp_path / "cat").exists()
 
     def test_integer_weighing_matrix_refused(self, tmp_path):
         src = tmp_path / "incoming"

@@ -397,8 +397,8 @@ class TestConstruct:
         from cwm.groupring import shift
 
         (tmp_path / "icw7.cw").write_text("CW 7 16 2\n-2 2 2 0 2 0 0\n")
-        (tmp_path / "b.cw").write_text(witness_format(shift(multiple(CW7_4, 6), 1), 4, 1))
-        (tmp_path / "c.cw").write_text(witness_format(multiple(CW7_4, 3), 4, 1))
+        (tmp_path / "b.cw").write_text(witness_format(shift(multiple(CW7_4, 6), 1), 4))
+        (tmp_path / "c.cw").write_text(witness_format(multiple(CW7_4, 3), 4))
         out = ""
         for argv in (
             ("kronecker", witness_path("cw7_4.cw"), witness_path("cw13_9.cw")),
@@ -435,11 +435,22 @@ class TestConstruct:
         from cwm.constructions import CW7_4, multiple
 
         b = tmp_path / "b.cw"
-        b.write_text(witness_format(multiple(CW7_4, 2), 4, 1))
+        b.write_text(witness_format(multiple(CW7_4, 2), 4))
         code, _, err = run(capsys, "construct", "type2", str(b), witness_path("cw7_4.cw"))
         assert code == 2
         assert "overlap" in err
 
+    def test_type2_accepts_integer_matrices(self, capsys, tmp_path):
+        (tmp_path / "b.cw").write_text("CW 4 4 2\n0 2 0 0\n")
+        (tmp_path / "c.cw").write_text("CW 2 4 2\n2 0\n")
+        target = tmp_path / "out.cw"
+        code, out, err = run(
+            capsys, "construct", "type2", str(tmp_path / "b.cw"), str(tmp_path / "c.cw"),
+            "--out", str(target),
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("constructed ICW_2(4,16): 2 +2X^1 +2X^2 -2X^3\n")
+        assert target.read_text() == "CW 4 16 2\n2 2 2 -2\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -532,7 +543,7 @@ class TestCatalog:
         incoming.mkdir()
         (incoming / "bad.cw").write_text("not a witness\n")
         (incoming / "cw7_4.cw").write_text(
-            witness_format(constructions.CW7_4, 4, 1)
+            witness_format(constructions.CW7_4, 4)
         )
         code, out, err = run(capsys, "catalog", "import", str(incoming))
         assert code == 2 and out == ""
@@ -558,7 +569,7 @@ class TestCatalog:
     def test_import_skips_unreadable_entry(self, capsys, tmp_path):
         incoming = tmp_path / "incoming"
         (incoming / "src.cw").mkdir(parents=True)
-        (incoming / "cw7_4.cw").write_text(witness_format(constructions.CW7_4, 4, 1))
+        (incoming / "cw7_4.cw").write_text(witness_format(constructions.CW7_4, 4))
         cat = tmp_path / "cat"
         code, out, err = run(capsys, "catalog", "import", str(incoming), "--dir", str(cat))
         assert code == 0 and out == "imported 1 witnesses\n"
@@ -566,12 +577,27 @@ class TestCatalog:
         assert len(err.splitlines()) == 1
         assert (cat / "records.tsv").read_text().startswith("7\t4\texists\twitnesses/cw7_4.cw\t")
 
+    # a tab or line break in the file name would split the record line
+    # that names it, and the next load would drop that record
+    @pytest.mark.parametrize("name", ["a\tb.cw", "a\nb.cw"], ids=["tab", "newline"])
+    def test_import_skips_a_name_no_record_can_hold(self, capsys, tmp_path, name):
+        incoming = tmp_path / "incoming"
+        incoming.mkdir()
+        (incoming / name).write_text(witness_format(constructions.CW7_4, 4))
+        cat = tmp_path / "cat"
+        code, out, err = run(capsys, "catalog", "import", str(incoming), "--dir", str(cat))
+        assert code == 0 and out == "imported 0 witnesses\n"
+        assert err.startswith("warning: a") and "tab or line break" in err
+        assert not (cat / "witnesses").exists()
+        code, out, err = run(capsys, "catalog", "status", "--n", "7", "--k", "4", "--dir", str(cat))
+        assert (code, out, err) == (0, "(7,4): open (no record)\n", "")
+
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_import_from_no_directory_exits_2(self, capsys, tmp_path, kind):
         source = tmp_path / "no" / "such" / "dir"
         if kind == "file":
             source = tmp_path / "cw7_4.cw"
-            source.write_text(witness_format(constructions.CW7_4, 4, 1))
+            source.write_text(witness_format(constructions.CW7_4, 4))
         cat = tmp_path / "cat"
         code, out, err = run(capsys, "catalog", "import", str(source), "--dir", str(cat))
         assert (code, out, err) == (2, "", f"error: not a directory: {source}\n")

@@ -176,6 +176,14 @@ class TestTypeII:
         with pytest.raises(ValueError):
             type_ii(cw7, cw13)
 
+    def test_integer_inputs(self):
+        # ICW_2(4,4) and ICW_2(2,4): each output coefficient is one input
+        # coefficient, so the sum is an ICW_2 of weight 16
+        b, c = GroupRingElement(4, (0, 2, 0, 0)), GroupRingElement(2, (2, 0))
+        out = type_ii(b, c)
+        assert out.coeffs == (2, 2, 2, -2)
+        assert verify(out, 16, 2) and not verify(out, 16, 1)
+
 
 class TestFamily14m:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

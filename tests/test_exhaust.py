@@ -583,6 +583,34 @@ class TestCompletenessOracles:
             assert (outcome.classes > 0) == exists(n), n
             assert outcome.classes > 0 or outcome.exhaustive, n
 
+    # (n, k, multiplier, coeff_bound): the search cells, then the
+    # contracted searches of census rows
+    LIFT_CELLS = [
+        (63, 16, None, 1), (110, 81, None, 1), (130, 81, None, 1), (143, 81, None, 1),
+        (143, 36, None, 1), (154, 81, None, 1), (44, 81, 3, 3), (132, 25, None, 1),
+        (168, 25, None, 1), (116, 49, None, 1), (176, 49, None, 1),
+    ] + [
+        (m, k, None, d)
+        for n, k in ((105, 36), (132, 81), (140, 64), (165, 100), (180, 64), (196, 64), (198, 81))
+        for d, m in [contraction_parameters(n, k)]
+    ]
+
+    @pytest.mark.parametrize("n,k,multiplier,bound", LIFT_CELLS)
+    def test_class_set_matches_lift_to_the_whole_group(self, n, k, multiplier, bound):
+        """Lifting the margin system straight to Z_n lists every
+        multiplier-fixed vector of weight k; their classes are the
+        search's.  This oracle shares no orbit table, pair reduction,
+        DFS, leafless memo or leaf test with the search, and it reaches
+        orders far past brute force."""
+        config = plan(n, k, multiplier, bound)
+        part = orbits(n, config.table.multiplier)
+        lifted = {
+            canonical_form(GroupRingElement(n, part.expand(sol.values))).coeffs
+            for sol in lift_margin_solutions(config.s, part, bound)
+        }
+        found = search(n, k, config.table.multiplier, bound)
+        assert {sol.coeffs for sol in found.solutions} == lifted and found.exhaustive
+
     def test_margins_of_found_solutions_satisfy_folds(self):
         out = search(63, 16)
         for sol in out.solutions:
@@ -704,14 +732,13 @@ class TestSideMarginSolutions:
         # 3^4 || 81, so every b of a fold onto Z_10 is divisible by 9
         part = orbits(10, 3)
         assert self_conjugacy_divisor(81, 10) == 9
-        lifted = lift_margin_solutions(9, part, 11, divisor=9)
+        lifted = lift_margin_solutions(9, part, 11)
         raw = enumerated_side(9, part, 11)
+        # the divisor drops no fold-consistent solution
         assert [sol.values for sol in lifted] == [
             sol.values for sol in fold_consistency_filter(raw, part, 81)
         ]
         assert [sol.values for sol in lifted] == [(0, 0, 0, 9), (9, 0, 0, 0)]
-        # the divisor drops no fold-consistent solution
-        assert lift_margin_solutions(9, part, 11) == lifted
         assert len(solve_margin_system(9, part.sizes, 11)) > len(lifted)
 
     def test_self_conjugacy_divisor_skips_primes_dividing_the_modulus(self):

@@ -348,14 +348,39 @@ class TestProperDecomposition:
             proper_decomposition(element(6, [1, 1, 0, 0, 0, 0]))
 
 
+def old_str(a):
+    """GroupRingElement.__str__ as it stood with its two fallback branches."""
+    terms = []
+    for i, c in enumerate(a.coeffs):
+        if not c:
+            continue
+        mag = "" if abs(c) == 1 else str(abs(c))
+        base = "1" if i == 0 and abs(c) == 1 else ("" if i == 0 else f"X^{i}")
+        txt = (mag + base) or "1"
+        terms.append(("-" if c < 0 else "+") + txt)
+    if not terms:
+        return "0"
+    out = " ".join(terms)
+    return out[1:] if out.startswith("+") else ("-" + out[2:] if out.startswith("- ") else out)
+
+
+class TestStr:
+    def test_matches_old_method(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            a = element(n, (rng.choice((0, 0, 1, -1, 2, -3, 11)) for _ in range(n)))
+            assert str(a) == old_str(a), a.coeffs
+
+
 class TestWitnessFormat:
     def test_round_trip(self, cw63):
-        text = witness_format(cw63, 16, 1)
+        text = witness_format(cw63, 16)
         elem, k, bound = witness_parse(text)
         assert (elem, k, bound) == (cw63, 16, 1)
 
     def test_header_shape(self, cw7):
-        lines = witness_format(cw7, 4, 1).splitlines()
+        lines = witness_format(cw7, 4).splitlines()
         assert lines[0] == "CW 7 4 1"
         assert lines[1] == "-1 1 1 0 1 0 0"
 
@@ -394,16 +419,19 @@ class TestWitnessCodec:
     @example(data=(3, [-3, 0, 3, 2, -2]), k=26)
     @given(data=bounded_vectors, k=st.integers(1, 10**6))
     def test_round_trip(self, data, k):
-        bound, coeffs = data
+        _, coeffs = data
         a = element(len(coeffs), coeffs)
-        assert witness_parse(witness_format(a, k, bound)) == (a, k, bound)
+        assert witness_parse(witness_format(a, k)) == (a, k, max(1, a.max_abs_coeff()))
 
+    # the header bound is the largest absolute coefficient, 1 at least
     @settings(max_examples=300, deadline=None)
     @example(data=(2, [2, -2, 0, 1, -1]), k=9)
+    @example(data=(3, [0, -3, 1]), k=10)
     @given(data=bounded_vectors, k=st.integers(1, 10**6))
     def test_format_matches_str_oracle(self, data, k):
-        bound, coeffs = data
-        text = witness_format(element(len(coeffs), coeffs), k, bound)
+        _, coeffs = data
+        text = witness_format(element(len(coeffs), coeffs), k)
+        bound = max(1, *map(abs, coeffs))
         assert text == f"CW {len(coeffs)} {k} {bound}\n" + " ".join(str(c) for c in coeffs) + "\n"
 
     @pytest.mark.parametrize(

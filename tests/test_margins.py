@@ -15,7 +15,7 @@ from cwm.margins import (
     self_conjugacy_filter,
     solve_margin_system,
 )
-from cwm.numbertheory import orbits
+from cwm.numbertheory import orbits, self_conjugacy_divisor
 
 
 def brute_solutions(s, k, sizes, bound):
@@ -144,35 +144,33 @@ def lifting_cases():
     return cases
 
 
-def filtered_oracle(s, k, part, bound, divisor):
-    """The old margin path: every moment solution, then divisibility and
-    full fold consistency."""
-    raw = solve_margin_system(s, part.sizes, bound)
-    raw = [sol for sol in raw if all(b % divisor == 0 for b in sol.values)]
-    return fold_consistency_filter(raw, part, k)
+def unpruned_oracle(s, part, bound):
+    """Every moment solution, then full fold consistency: the lifter's
+    contract, with no self-conjugacy pruning."""
+    return fold_consistency_filter(solve_margin_system(s, part.sizes, bound), part, s * s)
 
 
 class TestLiftMarginSolutions:
+    # the lifter prunes by the self-conjugacy divisor; equality with the
+    # unpruned oracle checks that the theorem, as the code states it,
+    # drops no fold-consistent vector
     def test_matches_filtered_moment_solutions(self):
-        checked = nonempty = 0
+        checked = pruned = nonempty = 0
         for part, bound in lifting_cases():
             for s in range(2, 8):
-                k = s * s
-                if k > bound * bound * part.modulus:
+                lifted = lift_margin_solutions(s, part, bound)
+                if s * s > bound * bound * part.modulus:
                     # no vector reaches the square mass; both sides are empty
-                    assert lift_margin_solutions(s, part, bound) == []
-                    continue
-                consistent = filtered_oracle(s, k, part, bound, 1)
-                for divisor in (1, 2, 3):
-                    expected = [
-                        sol for sol in consistent if all(b % divisor == 0 for b in sol.values)
-                    ]
-                    lifted = lift_margin_solutions(s, part, bound, divisor)
-                    assert lifted == expected, (part.modulus, part.multiplier, s, bound, divisor)
-                    checked += 1
-                    nonempty += bool(expected)
+                    assert lifted == []
+                else:
+                    assert lifted == unpruned_oracle(s, part, bound), (
+                        part.modulus, part.multiplier, s, bound
+                    )
+                checked += 1
+                pruned += self_conjugacy_divisor(s * s, part.modulus) > 1
+                nonempty += bool(lifted)
         assert {part.modulus for part, _ in lifting_cases()} == set(range(2, 41))
-        assert nonempty > 100 and checked > 3000
+        assert (checked, pruned) == (1632, 773) and nonempty > 100
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,9 +178,8 @@ class TestLiftMarginSolutions:
         t=st.integers(1, 23),
         s=st.integers(-3, 5),
         bound=st.integers(0, 3),
-        divisor=st.integers(1, 3),
     )
-    def test_matches_filtered_moment_solutions_random(self, m, t, s, bound, divisor):
+    def test_matches_filtered_moment_solutions_random(self, m, t, s, bound):
         t %= m
         if m > 1 and math.gcd(t, m) != 1:
             t = 1
@@ -191,10 +188,7 @@ class TestLiftMarginSolutions:
             part = min(orbit_partitions(m), key=len)
         if len(part) > 8:
             bound = min(bound, 1)
-        k = s * s
-        assert lift_margin_solutions(s, part, bound, divisor) == filtered_oracle(
-            s, k, part, bound, divisor
-        )
+        assert lift_margin_solutions(s, part, bound) == unpruned_oracle(s, part, bound)
 
     def test_solutions_carry_the_partition_sizes(self):
         part = orbits(16, 7)
@@ -206,11 +200,6 @@ class TestLiftMarginSolutions:
         part = orbits(1, 1)
         assert [sol.values for sol in lift_margin_solutions(3, part, 3)] == [(3,)]
         assert lift_margin_solutions(3, part, 2) == []
-        assert lift_margin_solutions(3, part, 3, divisor=2) == []
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            lift_margin_solutions(3, orbits(7, 2), 3, divisor=0)
 
 
 class TestSelfConjugacyFilter:
