@@ -121,7 +121,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     elem, k, bound = _read_witness(args.witness)
     ok = verify(elem, k, bound)
-    kind = _kind(elem.order, k, bound)
+    kind = _kind(elem.order, k, elem.max_abs_coeff() or 1)
     if not ok:
         print(f"{kind}: FAILED verification")
         return EXIT_NONE

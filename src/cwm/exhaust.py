@@ -4,11 +4,19 @@ The search walks the orbit table column by column (right to left),
 within a column box by box from the bottom row up, assigning each orbit
 a signed multiplicity.  Margins count down toward zero; a line that can
 no longer reach its target is cut immediately, and the running square
-mass (which must end exactly at k) prunes as well.  A leaf is fixed by
-the multiplier, so its autocorrelation is constant on orbits: the leaf is
-rejected at the first orbit whose one shift gives a nonzero value.  Every
-leaf that survives is verified by the full convolution, so reported
-solutions are sound independent of the pruning.
+mass (which must end exactly at k) prunes as well.  The residual-mass
+cut drops a child when the square mass still to place is below the sum
+of its absolute row, or column, residuals: the later steps add
+sum mult^2 size >= sum |mult| size, no less than either sum, so no leaf
+is lost.  The margins fix the folds onto Z_d and Z_m and their divisors;
+a leaf is first folded onto each other divisor q of n, 1 < q < n,
+smallest first, and rejected unless B B^(-1) = k on Z_q, as for every
+fold of a solution (the compression of Dokovic and Kotsireas, DCC 74
+(2015)).  A leaf is fixed by the multiplier, so its autocorrelation is
+constant on orbits: the leaf is rejected at the first orbit whose one
+shift gives a nonzero value.  Every leaf that survives is verified by the
+full convolution, so reported solutions are sound independent of the
+pruning.
 
 Every cut reads only the square mass and the row and column residuals,
 and when the walk opens a column the columns behind it are at zero and
@@ -19,7 +27,7 @@ that held no leaf, and on a repeat adds that count instead of walking it
 again: a leafless subtree verifies nothing and moves no other counter.
 nodes_visited therefore counts the nodes of the search tree, those of a
 skipped subtree included, and a budget stops the count where the full
-walk would have stopped.
+walk would have stopped; the residual-mass cut makes that tree smaller.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .numbertheory import (
     factorize,
     mcfarland_multiplier,
     multiplicative_order,
+    orbits,
     prime_power_multiplier,
     theorem_multipliers,
 )
@@ -150,6 +159,34 @@ def off_peak_vanishes(vec: tuple[int, ...], shifts: Sequence[int]) -> bool:
     return not any(sum(map(mul, vec, vec[g:] + vec[:g])) for g in shifts)
 
 
+def _quotient_folds(partition: OrbitPartition, moduli: Sequence[int]) -> list[tuple]:
+    """For each q in moduli: the multiplier orbits of Z_q, their shifts, and the Z_q
+    orbit each orbit of the partition maps onto, with the times it covers each member."""
+    out = []
+    for q in moduli:
+        qpart = orbits(q, partition.multiplier)
+        spread = []
+        for rep, members in partition.orbits:
+            qid = qpart.orbit_of(rep)
+            spread.append((qid, len(members) // len(qpart.members(qid))))
+        out.append((qpart, spread, orbit_shifts(qpart)))
+    return out
+
+
+def _folds_hold(assign: Sequence[int], folds: Sequence[tuple], k: int) -> bool:
+    """True iff the vector that assign spreads over its orbits folds onto each
+    quotient of folds (see _quotient_folds) with B B^(-1) = k."""
+    for qpart, spread, shifts in folds:
+        b = [0] * len(qpart.orbits)
+        for mult, (qid, times) in zip(assign, spread):
+            if mult:
+                b[qid] += mult * times
+        vec = tuple(map(b.__getitem__, qpart.index))
+        if sum(map(mul, vec, vec)) != k or not off_peak_vanishes(vec, shifts):
+            return False
+    return True
+
+
 def exhaust_pair(
     config: SearchConfig, r: Sequence[int], c: Sequence[int]
 ) -> SearchOutcome:
@@ -199,6 +236,9 @@ def exhaust_pair(
     nplan = len(steps)
 
     shifts = orbit_shifts(partition)
+    # the folds onto Z_d and Z_m and their quotients are fixed by the margins
+    n, d, m = table.n, table.d, table.m
+    folds = _quotient_folds(partition, [q for q in range(2, n) if n % q == 0 and d % q and m % q])
     r_res = list(r)
     c_res = list(c)
     assign = [0] * len(partition)
@@ -209,17 +249,19 @@ def exhaust_pair(
     limit = sys.maxsize if config.node_budget is None else config.node_budget
     found: dict[tuple[int, ...], GroupRingElement] = {}
     # node count of each leafless subtree below a column's first step, by
-    # (step, square mass, row residuals), which fix it (module docstring)
+    # (step, square mass to place, row residuals), which fix it (module docstring)
     leafless: dict[tuple[int, ...], int] = {}
 
-    def rec(idx: int, sq: int):
+    def rec(idx: int, room: int, r_abs: int, c_abs: int):
         nonlocal nodes, leaves, verified_count
         nodes += 1
         if nodes > limit:
             raise _Stop
         if idx == nplan:
-            # the remaining masses forced all residuals to zero and sq == k
+            # the remaining masses forced all residuals to zero and room == 0
             leaves += 1
+            if not _folds_hold(assign, folds, k):
+                return
             vec = partition.expand(assign)
             if not off_peak_vanishes(vec, shifts):
                 return
@@ -233,7 +275,7 @@ def exhaust_pair(
             return
         oid, i, j, nxt_row, nxt_col, nxt_sq, choices, opens = steps[idx]
         if opens:
-            key = (idx, sq, *r_res)
+            key = (idx, room, *r_res)
             size = leafless.get(key)
             if size is not None:
                 # the walk would visit size nodes here and move no other
@@ -247,20 +289,29 @@ def exhaust_pair(
             leaves_at = leaves
         ri = r_res[i]
         cj = c_res[j]
+        r_rest = r_abs - abs(ri)
+        c_rest = c_abs - abs(cj)
         for mult, mass, sq_step in choices:
-            nsq = sq + sq_step
-            if nsq > k or nsq + nxt_sq < k:
+            nroom = room - sq_step
+            if nroom > nxt_sq:
                 continue
+            if nroom < 0:
+                break  # the choices come in nondecreasing square mass
             nr = ri - mass
             if nr > nxt_row or -nr > nxt_row:
                 continue
             nc = cj - mass
             if nc > nxt_col or -nc > nxt_col:
                 continue
+            # the residual-mass cut (module docstring)
+            nr_abs = r_rest + abs(nr)
+            nc_abs = c_rest + abs(nc)
+            if nr_abs > nroom or nc_abs > nroom:
+                continue
             r_res[i] = nr
             c_res[j] = nc
             assign[oid] = mult
-            rec(idx + 1, nsq)
+            rec(idx + 1, nroom, nr_abs, nc_abs)
         r_res[i] = ri
         c_res[j] = cj
         assign[oid] = 0
@@ -268,7 +319,7 @@ def exhaust_pair(
             leafless[key] = nodes - nodes_at + 1
 
     with suppress(_Stop):
-        rec(0, 0)
+        rec(0, k, sum(map(abs, r)), sum(map(abs, c)))
     del rec  # rec holds itself in its closure; free the walk's state now
     return SearchOutcome(
         solutions=tuple(found[key] for key in sorted(found)),

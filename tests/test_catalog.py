@@ -14,6 +14,7 @@ from cwm.catalog import (
     seed_known_results,
 )
 from cwm.constructions import multiple
+from cwm.exhaust import search
 from cwm.groupring import GroupRingElement, element, proper_decomposition, verify, witness_format
 
 # records.tsv as seed_known_results wrote it before the catalog kept its
@@ -387,6 +388,13 @@ class TestSeed:
         for n, k in ((110, 81), (154, 81), (130, 81), (143, 81), (143, 36),
                      (132, 81), (182, 64), (144, 49), (104, 81)):
             assert seeded.status(n, k) == "nonexistent"
+
+    # three of the long-run verdicts, re-derived by the search they rest on
+    @pytest.mark.parametrize("n,k", [(104, 81), (152, 49), (160, 49)])
+    def test_long_run_verdict_rederived(self, seeded, n, k):
+        out = search(n, k)
+        assert out.classes == 0 and out.exhaustive
+        assert seeded.status(n, k) == "nonexistent"
 
     def test_open_cells(self, seeded):
         for n, k in OPEN_CASES:

@@ -62,6 +62,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "no/such/file.cw")
         assert code == 2
 
+    def test_label_reads_the_coefficients_not_the_header(self, capsys, tmp_path):
+        # a header bound above the largest coefficient still holds a CW
+        loose = tmp_path / "loose.cw"
+        loose.write_text("CW 7 4 3\n-1 1 1 0 1 0 0\n")
+        assert run(capsys, "verify", str(loose)) == (0, "CW(7,4): OK, |P|=3 |N|=1\n", "")
+        zero = tmp_path / "zero.cw"
+        zero.write_text("CW 7 4 2\n0 0 0 0 0 0 0\n")
+        assert run(capsys, "verify", str(zero)) == (1, "CW(7,4): FAILED verification\n", "")
+
 
 class TestSearch:
     def test_nonexistent_exits_1(self, capsys):
@@ -168,17 +177,17 @@ class TestSearch:
         [
             (("--n", "63", "--k", "16"), 0,
              "CW(63,16): 2 equivalence classes "
-             "(4 solutions found, 10 candidates tested, 300 nodes)\n"),
+             "(4 solutions found, 10 candidates tested, 178 nodes)\n"),
             (("--n", "110", "--k", "81"), 1,
              "CW(110,81): 0 equivalence classes "
-             "(0 solutions found, 0 candidates tested, 69 nodes)\n"
+             "(0 solutions found, 0 candidates tested, 44 nodes)\n"
              "exhaustively none: margin systems and orbit search rule every candidate out\n"),
             (("--n", "52", "--k", "81", "-t", "3", "--coeff-bound", "3"), 0,
              "ICW_3(52,81): 33 equivalence classes "
-             "(33 solutions found, 1548 candidates tested, 157220 nodes)\n"),
+             "(33 solutions found, 1548 candidates tested, 94099 nodes)\n"),
             (("--n", "63", "--k", "16", "--out", "x.cw"), 0,
              "CW(63,16): 2 equivalence classes "
-             "(4 solutions found, 10 candidates tested, 300 nodes)\n"),
+             "(4 solutions found, 10 candidates tested, 178 nodes)\n"),
         ],
         ids=["63-16", "110-81", "icw3-52-81", "63-16-out"],
     )

@@ -1,11 +1,14 @@
 import gc
+import importlib.resources
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cwm import exhaust as exhaust_mod
 from cwm.exhaust import (
     CONTRACTED_SEARCH_CASES,
     MethodInapplicable,
@@ -18,7 +21,15 @@ from cwm.exhaust import (
     plan,
     search,
 )
-from cwm.groupring import GroupRingElement, canonical_form, element, fold, verify, weight
+from cwm.groupring import (
+    GroupRingElement,
+    canonical_form,
+    element,
+    fold,
+    verify,
+    weight,
+    witness_parse,
+)
 from cwm.margins import (
     fold_consistency_filter,
     lift_margin_solutions,
@@ -91,10 +102,12 @@ class _OracleStop(Exception):
     pass
 
 
-def exhaust_pair_oracle(config, r, c):
+def exhaust_pair_oracle(config, r, c, residual_cut=False):
     """The earlier exhaust_pair walk, which visits every node of the search
     tree and verifies every leaf by the full convolution.  Returns (nodes,
-    leaves, verified leaves, classes, exhaustive) and the class set."""
+    leaves, verified leaves, classes, exhaustive) and the class set.  With
+    residual_cut it also cuts a child whose row or column residuals sum,
+    in absolute value, past the square mass still to place."""
     table, bound, k = config.table, config.coeff_bound, config.k
     partition = table.partition
     mults = (0,) + tuple(sign * v for v in range(1, bound + 1) for sign in (1, -1))
@@ -133,10 +146,14 @@ def exhaust_pair_oracle(config, r, c):
             return
         oid, i, j, size, nxt_row, nxt_col, nxt_sq = steps[idx]
         ri, cj = r_res[i], c_res[j]
+        r_rest = sum(map(abs, r_res)) - abs(ri)
+        c_rest = sum(map(abs, c_res)) - abs(cj)
         for mult in mults:
             nsq = sq + mult * mult * size
             nr, nc = ri - mult * size, cj - mult * size
             if nsq > k or nsq + nxt_sq < k or abs(nr) > nxt_row or abs(nc) > nxt_col:
+                continue
+            if residual_cut and k - nsq < max(r_rest + abs(nr), c_rest + abs(nc)):
                 continue
             r_res[i], c_res[j], assign[oid] = nr, nc, mult
             rec(idx + 1, nsq)
@@ -234,6 +251,75 @@ class TestLeafRejection:
     )
     def test_one_shift_per_orbit_up_to_negation(self, n, t, shifts):
         assert orbit_shifts(orbits(n, t)) == shifts
+
+
+def intermediate_divisors(n):
+    return [q for q in range(2, n) if n % q == 0]
+
+
+def folds_hold(vec, k, moduli):
+    """The leaf's quotient-fold test on a whole vector: the orbits of the
+    multiplier 1 are the points of Z_n."""
+    part = orbits(len(vec), 1)
+    return exhaust_mod._folds_hold(vec, exhaust_mod._quotient_folds(part, moduli), k)
+
+
+class TestQuotientFolds:
+    @settings(max_examples=300, deadline=None)
+    @given(case=orbit_vectors())
+    @example(case=CW63_CASE)
+    def test_orbit_spreads_fold_like_the_vector(self, case):
+        part, vec = case
+        values = [vec[rep] for rep in part.reps]
+        for q in intermediate_divisors(part.modulus):
+            folded = fold(element(part.modulus, vec), q)
+            folds = exhaust_mod._quotient_folds(part, [q])
+            for k in {sum(a * a for a in vec), sum(b * b for b in folded.coeffs)}:
+                assert exhaust_mod._folds_hold(values, folds, k) == (weight(folded) == k), (q, k)
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            path.name
+            for path in importlib.resources.files("cwm").joinpath("data", "witnesses").iterdir()
+            if path.name.endswith(".cw")
+        ),
+    )
+    def test_accepts_every_bundled_witness(self, name):
+        path = importlib.resources.files("cwm").joinpath("data", "witnesses", name)
+        elem, k, _ = witness_parse(path.read_text())
+        assert folds_hold(elem.coeffs, k, intermediate_divisors(elem.order))
+
+    @pytest.mark.parametrize(
+        "n,k,multiplier,bound",
+        [(13, 9, None, 1), (26, 9, None, 1), (63, 16, None, 1), (132, 25, None, 1),
+         (52, 81, 3, 3), (35, 36, 4, 3)],
+    )
+    def test_accepts_every_class_the_search_finds(self, n, k, multiplier, bound):
+        found = search(n, k, multiplier, bound).solutions
+        assert found
+        for sol in found:
+            assert folds_hold(sol.coeffs, k, intermediate_divisors(n))
+
+    def test_rejects_every_leaf_of_104_81(self, monkeypatch):
+        # the margins fix the folds onto Z_8 and Z_13; every leaf the walk
+        # reaches fails the fold onto Z_26 or, past it, the one onto Z_52
+        folds_hold_real = exhaust_mod._folds_hold
+        leaves = []
+
+        def recording(assign, folds, k):
+            leaves.append((tuple(assign), folds, k))
+            return folds_hold_real(assign, folds, k)
+
+        monkeypatch.setattr(exhaust_mod, "_folds_hold", recording)
+        out = search(104, 81)
+        assert out.leaves_tested == len(leaves) == 98 and out.classes == 0
+        first_failed = Counter()
+        for assign, folds, k in leaves:
+            assert [qpart.modulus for qpart, _, _ in folds] == [26, 52]
+            failed = [q[0].modulus for q in folds if not folds_hold_real(assign, [q], k)]
+            first_failed[failed[0]] += 1
+        assert first_failed == {26: 74, 52: 24}
 
 
 class TestSearch:
@@ -341,24 +427,24 @@ class TestSearchCounters:
     @pytest.mark.parametrize(
         "n,k,kwargs,counts",
         [
-            (104, 81, {}, (63156, 98, 0, 0, True)),
-            (110, 81, {}, (69, 0, 0, 0, True)),
-            (44, 81, dict(multiplier=3, coeff_bound=3), (175, 0, 0, 0, True)),
+            (104, 81, {}, (61503, 98, 0, 0, True)),
+            (110, 81, {}, (44, 0, 0, 0, True)),
+            (44, 81, dict(multiplier=3, coeff_bound=3), (151, 0, 0, 0, True)),
             # the stop paths: first mode ends the search at its first class,
             # a budget ends each pair's walk at the first node past its share
-            (63, 16, dict(mode="first"), (98, 1, 1, 1, True)),
-            (132, 25, dict(mode="first"), (26084, 7, 1, 1, True)),
+            (63, 16, dict(mode="first"), (30, 1, 1, 1, True)),
+            (132, 25, dict(mode="first"), (1819, 7, 1, 1, True)),
             (104, 81, dict(node_budget=1000), (1018, 0, 0, 0, False)),
             (104, 81, dict(node_budget=1000, jobs=2), (1018, 0, 0, 0, False)),
             (63, 16, dict(node_budget=5), (8, 0, 0, 0, False)),
             (31, 25, dict(node_budget=1), (3, 0, 0, 0, False)),
             # census row (156,81): ICW_3(52,81), whose walk repeats many
             # leafless subtrees
-            (52, 81, dict(multiplier=3, coeff_bound=3), (157220, 1548, 33, 33, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3), (94099, 1548, 33, 33, True)),
             (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (43, 1, 1, 1, True)),
             (
                 52, 81, dict(multiplier=3, coeff_bound=3, node_budget=100000),
-                (100007, 1139, 22, 22, False),
+                (90825, 1520, 33, 33, False),
             ),
         ],
     )
@@ -376,15 +462,16 @@ class TestSearchCounters:
         out = search(m, 36, multiplier=t, coeff_bound=d)
         assert out.exhaustive
         assert (out.nodes_visited, out.leaves_tested, out.solutions_found, out.classes) == (
-            201, 9, 1, 1
+            160, 9, 1, 1
         )
 
 
 class TestLeaflessSubtrees:
     """exhaust_pair counts a repeated leafless subtree without walking it
     again; under every budget and in first mode its counters and classes
-    match the walk that visits every node.  Each case sweeps the margin
-    pair with the most tree nodes."""
+    match the walk that visits every node of the same tree, the one the
+    residual-mass cut leaves.  Each case sweeps the margin pair with the
+    most tree nodes."""
 
     @pytest.mark.parametrize(
         "n,k,multiplier,coeff_bound,budgets",
@@ -399,7 +486,7 @@ class TestLeaflessSubtrees:
         table = config.table
         pairs = margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
         total, r, c = max(
-            (exhaust_pair_oracle(config, r, c)[0][0], r, c) for r, c in pairs
+            (exhaust_pair_oracle(config, r, c, residual_cut=True)[0][0], r, c) for r, c in pairs
         )
         if budgets is None:
             sweep = range(1, total + 1)
@@ -413,8 +500,42 @@ class TestLeaflessSubtrees:
                 out.exhaustive,
             )
             assert (counts, {sol.coeffs for sol in out.solutions}) == exhaust_pair_oracle(
-                cfg, r, c
+                cfg, r, c, residual_cut=True
             ), cfg.node_budget
+
+
+class TestResidualCutSoundness:
+    """The residual-mass cut and the quotient-fold test drop no leaf and
+    no class: on every margin pair, unbudgeted, the walk's leaves,
+    verified leaves, classes and exhaustive flag are those of the walk
+    without them, and its tree is no larger."""
+
+    # the exhaust bench cells, (63,16), (176,49), then the contracted
+    # searches of the census bench rows
+    CELLS = [
+        (110, 81, None, 1), (130, 81, None, 1), (143, 81, None, 1), (143, 36, None, 1),
+        (154, 81, None, 1), (44, 81, 3, 3), (91, 64, 2, 2), (104, 81, None, 1),
+        (72, 49, None, 1), (132, 25, None, 1), (168, 25, None, 1), (116, 49, None, 1),
+        (63, 16, None, 1), (176, 49, None, 1),
+    ] + [
+        (m, k, None, d)
+        for n, k in (
+            (105, 36), (132, 81), (140, 36), (140, 64), (156, 81), (165, 100), (180, 64),
+            (196, 64), (198, 81),
+        )
+        for d, m in [contraction_parameters(n, k)]
+    ]
+
+    @pytest.mark.parametrize("n,k,multiplier,bound", CELLS)
+    def test_every_pair_matches_the_uncut_walk(self, n, k, multiplier, bound):
+        config = plan(n, k, multiplier, bound)
+        table = config.table
+        for r, c in margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits):
+            out = exhaust_pair(config, r, c)
+            (nodes, *counts), classes = exhaust_pair_oracle(config, r, c)
+            assert out.nodes_visited <= nodes
+            assert [out.leaves_tested, out.solutions_found, out.classes, out.exhaustive] == counts
+            assert {sol.coeffs for sol in out.solutions} == classes
 
 
 class TestNoCyclicGarbage:
