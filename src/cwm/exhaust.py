@@ -236,9 +236,11 @@ def exhaust_pair(
     nplan = len(steps)
 
     shifts = orbit_shifts(partition)
-    # the folds onto Z_d and Z_m and their quotients are fixed by the margins
+    # the folds onto Z_d and Z_m and their quotients are fixed by the margins;
+    # the others are built at the first leaf, which most pairs never reach
     n, d, m = table.n, table.d, table.m
-    folds = _quotient_folds(partition, [q for q in range(2, n) if n % q == 0 and d % q and m % q])
+    moduli = [q for q in range(2, n) if n % q == 0 and d % q and m % q]
+    folds = None
     r_res = list(r)
     c_res = list(c)
     assign = [0] * len(partition)
@@ -253,13 +255,15 @@ def exhaust_pair(
     leafless: dict[tuple[int, ...], int] = {}
 
     def rec(idx: int, room: int, r_abs: int, c_abs: int):
-        nonlocal nodes, leaves, verified_count
+        nonlocal nodes, leaves, verified_count, folds
         nodes += 1
         if nodes > limit:
             raise _Stop
         if idx == nplan:
             # the remaining masses forced all residuals to zero and room == 0
             leaves += 1
+            if folds is None:
+                folds = _quotient_folds(partition, moduli)
             if not _folds_hold(assign, folds, k):
                 return
             vec = partition.expand(assign)
