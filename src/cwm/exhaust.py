@@ -10,13 +10,14 @@ of its absolute row, or column, residuals: the later steps add
 sum mult^2 size >= sum |mult| size, no less than either sum, so no leaf
 is lost.  The margins fix the folds onto Z_d and Z_m and their divisors;
 a leaf is first folded onto each other divisor q of n, 1 < q < n,
-smallest first, and rejected unless B B^(-1) = k on Z_q, as for every
-fold of a solution (the compression of Dokovic and Kotsireas, DCC 74
-(2015)).  A leaf is fixed by the multiplier, so its autocorrelation is
-constant on orbits: the leaf is rejected at the first orbit whose one
-shift gives a nonzero value.  Every leaf that survives is verified by the
-full convolution, so reported solutions are sound independent of the
-pruning.
+smallest first, through OrbitPartition.spread, and rejected unless
+OrbitPartition.weighs finds B B^(-1) = k on Z_q, as for every fold of a
+solution (the compression of Dokovic and Kotsireas, DCC 74 (2015)).  A
+leaf that passes is expanded once over Z_n; it is fixed by the
+multiplier, so its autocorrelation is constant on orbits, and it is
+rejected at the first orbit whose one shift gives a nonzero value.
+Every leaf that survives is verified by the full convolution, so
+reported solutions are sound independent of the pruning.
 
 Every cut reads only the square mass and the row and column residuals,
 and when the walk opens a column the columns behind it are at zero and
@@ -37,7 +38,6 @@ import sys
 from contextlib import nullcontext, suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from operator import mul
 from typing import Optional, Sequence
 
 from . import margins as margins_mod
@@ -141,52 +141,6 @@ def _multiplicity_order(bound: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def orbit_shifts(partition: OrbitPartition) -> tuple[int, ...]:
-    """One nonzero shift g per orbit of the partition, taking g or -g once.
-
-    A vector fixed by x -> t*x has an autocorrelation c_g = sum a_i a_(i+g)
-    with c_(tg) = c_g, and every autocorrelation has c_(-g) = c_g, so the
-    off-peak autocorrelation vanishes iff it vanishes at these shifts."""
-    return tuple(
-        rep
-        for oid, (rep, _) in enumerate(partition.orbits)
-        if rep and partition.orbit_of(-rep) >= oid
-    )
-
-
-def off_peak_vanishes(vec: tuple[int, ...], shifts: Sequence[int]) -> bool:
-    """True iff the autocorrelation of vec is zero at every shift in shifts."""
-    return not any(sum(map(mul, vec, vec[g:] + vec[:g])) for g in shifts)
-
-
-def _quotient_folds(partition: OrbitPartition, moduli: Sequence[int]) -> list[tuple]:
-    """For each q in moduli: the multiplier orbits of Z_q, their shifts, and the Z_q
-    orbit each orbit of the partition maps onto, with the times it covers each member."""
-    out = []
-    for q in moduli:
-        qpart = orbits(q, partition.multiplier)
-        spread = []
-        for rep, members in partition.orbits:
-            qid = qpart.orbit_of(rep)
-            spread.append((qid, len(members) // len(qpart.members(qid))))
-        out.append((qpart, spread, orbit_shifts(qpart)))
-    return out
-
-
-def _folds_hold(assign: Sequence[int], folds: Sequence[tuple], k: int) -> bool:
-    """True iff the vector that assign spreads over its orbits folds onto each
-    quotient of folds (see _quotient_folds) with B B^(-1) = k."""
-    for qpart, spread, shifts in folds:
-        b = [0] * len(qpart.orbits)
-        for mult, (qid, times) in zip(assign, spread):
-            if mult:
-                b[qid] += mult * times
-        vec = tuple(map(b.__getitem__, qpart.index))
-        if sum(map(mul, vec, vec)) != k or not off_peak_vanishes(vec, shifts):
-            return False
-    return True
-
-
 def exhaust_pair(
     config: SearchConfig, r: Sequence[int], c: Sequence[int]
 ) -> SearchOutcome:
@@ -235,7 +189,6 @@ def exhaust_pair(
     steps.reverse()
     nplan = len(steps)
 
-    shifts = orbit_shifts(partition)
     # the folds onto Z_d and Z_m and their quotients are fixed by the margins;
     # the others are built at the first leaf, which most pairs never reach
     n, d, m = table.n, table.d, table.m
@@ -263,11 +216,17 @@ def exhaust_pair(
             # the remaining masses forced all residuals to zero and room == 0
             leaves += 1
             if folds is None:
-                folds = _quotient_folds(partition, moduli)
-            if not _folds_hold(assign, folds, k):
-                return
+                qparts = [orbits(q, partition.multiplier) for q in moduli]
+                folds = [(qpart, partition.spread(qpart)) for qpart in qparts]
+            for qpart, spread in folds:
+                b = [0] * len(qpart)
+                for mult, (qid, times) in zip(assign, spread):
+                    if mult:
+                        b[qid] += mult * times
+                if not qpart.weighs(b, k):
+                    return
             vec = partition.expand(assign)
-            if not off_peak_vanishes(vec, shifts):
+            if not partition.off_peak_vanishes(vec):
                 return
             candidate = GroupRingElement(table.n, vec)
             if verify(candidate, k, bound):
@@ -406,7 +365,8 @@ def search(
     pairs = margins_mod.margin_pairs(row_sols, col_sols, table.row_orbits, table.col_orbits)
     configs = [replace(config, node_budget=b) for b in _split_budget(node_budget, len(pairs))]
     parallel = jobs > 1 and mode != "first" and len(pairs) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    workers = min(jobs, len(pairs))  # the pool forks all its workers at its first submit
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         parts = []
         for part in (pool.map if parallel else map)(exhaust_pair, configs, *zip(*pairs)):
             parts.append(part)

@@ -9,8 +9,9 @@ b_i with
 
 one b per orbit of the multiplier on Z_m.  The fold B also satisfies the
 full fold equation B * B^(-1) = k, which these two moment identities
-only sample.  The margin targets that drive the exhaustive search are
-the solutions of that equation.
+only sample; OrbitPartition.weighs tests it on orbit values.  The margin
+targets that drive the exhaustive search are the solutions of that
+equation.
 
 lift_margin_solutions finds them by quotient lifting: the fold of such a
 B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
@@ -20,7 +21,8 @@ vectors with B * B^(-1) = k and pruning by the self-conjugacy theorem
 is self-conjugate mod it).  solve_margin_system enumerates every
 solution of the two moment identities instead; it stays as the oracle
 the lifter is tested against, and count_margin_solutions counts its
-solutions without listing them.
+solutions without listing them.  fold_consistency_filter applies weighs
+to a list of solutions.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groupring import GroupRingElement, weight
 from .numbertheory import (
     OrbitPartition, factorize, is_self_conjugate, orbits, self_conjugacy_divisor
 )
@@ -146,8 +147,8 @@ def _lift_level(
     # child orbits grouped by the parent orbit they reduce into; a child
     # vector folds onto c iff sum b_O * |O| = |O'| * c_O' for each parent O'
     groups: list[list[int]] = [[] for _ in parent.orbits]
-    for oid, (rep, _) in enumerate(child.orbits):
-        groups[parent.orbit_of(rep)].append(oid)
+    for oid, (pid, _) in enumerate(child.spread(parent)):
+        groups[pid].append(oid)
     sizes = child.sizes
     top = bound - bound % divisor
     choices = range(-top, top + 1, divisor)
@@ -232,12 +233,7 @@ def fold_consistency_filter(
     the quotient, not just the two moment identities, so this filter
     never discards the fold of a true solution.
     """
-    mod = partition.modulus
-    return [
-        sol
-        for sol in solutions
-        if weight(GroupRingElement(mod, partition.expand(sol.values))) == k
-    ]
+    return [sol for sol in solutions if partition.weighs(sol.values, k)]
 
 
 def affine_orbit_permutations(partition: OrbitPartition) -> list[tuple[int, ...]]:

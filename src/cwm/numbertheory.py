@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 
@@ -27,9 +29,20 @@ class OrbitPartition:
     def reps(self) -> tuple[int, ...]:
         return tuple(rep for rep, _ in self.orbits)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(members) for _, members in self.orbits)
+
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        """One nonzero shift g per orbit, taking g or -g once.
+
+        A vector fixed by x -> t*x has an autocorrelation c_g = sum a_i a_(i+g)
+        with c_(tg) = c_g, and every autocorrelation has c_(-g) = c_g, so the
+        off-peak autocorrelation vanishes iff it vanishes at these shifts."""
+        return tuple(
+            rep for oid, (rep, _) in enumerate(self.orbits) if rep and self.orbit_of(-rep) >= oid
+        )
 
     def orbit_of(self, x: int) -> int:
         return self.index[x % self.modulus]
@@ -45,6 +58,28 @@ class OrbitPartition:
                 for x in members:
                     vec[x] = b
         return tuple(vec)
+
+    def off_peak_vanishes(self, vec: tuple[int, ...]) -> bool:
+        """True iff the autocorrelation of vec, a vector over Z_modulus fixed
+        by the multiplier, is zero at every shift but 0."""
+        return not any(sum(map(mul, vec, vec[g:] + vec[:g])) for g in self.shifts)
+
+    def weighs(self, values: Sequence[int], k: int) -> bool:
+        """True iff B = expand(values) satisfies B B^(-1) = k, as every fold of
+        a CW(n, k) does (the compression of Dokovic and Kotsireas, DCC 74 (2015))."""
+        if sum(b * b * size for b, size in zip(values, self.sizes)) != k:
+            return False
+        return self.off_peak_vanishes(self.expand(values))
+
+    def spread(self, onto: "OrbitPartition") -> tuple[tuple[int, int], ...]:
+        """For each orbit, the orbit of onto (Z_q, q | modulus, under the same
+        multiplier) it reduces into mod q, and the times it covers each member
+        of that orbit: reduction commutes with x -> t*x, so it covers them evenly."""
+        q = onto.modulus
+        if self.modulus % q or (self.multiplier - onto.multiplier) % q:
+            raise ValueError(f"Z_{q} under {onto.multiplier} is no quotient of this partition")
+        ids = [onto.orbit_of(rep) for rep, _ in self.orbits]
+        return tuple((qid, size // onto.sizes[qid]) for qid, size in zip(ids, self.sizes))
 
     def __len__(self):
         return len(self.orbits)
@@ -112,7 +147,9 @@ def is_prime_power(k: int) -> Optional[tuple[int, int]]:
 
 
 def coprime_part(n: int, p: int) -> int:
-    """Largest divisor of n relatively prime to p."""
+    """Largest divisor of n relatively prime to p, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError(f"coprime_part needs n >= 1 and p >= 2, got n={n}, p={p}")
     while n % p == 0:
         n //= p
     return n

@@ -54,8 +54,8 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     box_lists: list[list[list[int]]] = [
         [[] for _ in range(len(cols))] for _ in range(len(rows))
     ]
-    for oid, (rep, _) in enumerate(part.orbits):
-        box_lists[rows.orbit_of(rep % d)][cols.orbit_of(rep % m)].append(oid)
+    for oid, ((i, _), (j, _)) in enumerate(zip(part.spread(rows), part.spread(cols))):
+        box_lists[i][j].append(oid)
     boxes = tuple(tuple(tuple(cell) for cell in row) for row in box_lists)
     return OrbitTable(n, d, m, t, part, rows, cols, boxes)
 

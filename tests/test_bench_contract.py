@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,21 @@ WORKLOADS = load_bench("workloads")
 def test_traced_function_resolves(module, attr):
     assert module.split(".")[0] == "cwm"
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("span", ["margins.fold_consistency", "margins.pairs"])
+def test_margins_search_calls_the_traced_name(span):
+    # the margins workload's search must call fold_consistency_filter and
+    # margin_pairs through the module attributes bench/tracing.py wraps; a
+    # call routed around them would read 0 in that layer's metric
+    tracing = load_bench("tracing")
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        cwm.search(176, 49)
+    finally:
+        restore()
+    assert Counter(name for name, *_ in tracer.spans)[span] >= 1
 
 
 @pytest.mark.parametrize(

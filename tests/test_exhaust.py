@@ -16,8 +16,6 @@ from cwm.exhaust import (
     contraction_parameters,
     exhaust_pair,
     icw_census,
-    off_peak_vanishes,
-    orbit_shifts,
     plan,
     search,
 )
@@ -38,6 +36,7 @@ from cwm.margins import (
     solve_margin_system,
 )
 from cwm.numbertheory import (
+    OrbitPartition,
     factorize,
     is_self_conjugate,
     mcfarland_multiplier,
@@ -238,8 +237,19 @@ class TestLeafRejection:
     @example(case=CW63_CASE)
     def test_orbit_shifts_decide_off_peak_autocorrelation(self, case):
         part, vec = case
-        accepted = off_peak_vanishes(vec, orbit_shifts(part))
+        accepted = part.off_peak_vanishes(vec)
         assert accepted == (weight(element(part.modulus, vec)) == sum(a * a for a in vec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=orbit_vectors(), offset=st.integers(-3, 3).filter(bool))
+    @example(case=CW63_CASE, offset=1)
+    def test_weighs_is_the_weight_of_the_expansion(self, case, offset):
+        part, vec = case
+        values = [vec[rep] for rep in part.reps]
+        square_sum = sum(a * a for a in vec)
+        for k in (square_sum, square_sum + offset):
+            expected = weight(element(part.modulus, part.expand(values))) == k
+            assert part.weighs(values, k) == expected, k
 
     @pytest.mark.parametrize(
         "n,t,shifts",
@@ -250,18 +260,28 @@ class TestLeafRejection:
         ],
     )
     def test_one_shift_per_orbit_up_to_negation(self, n, t, shifts):
-        assert orbit_shifts(orbits(n, t)) == shifts
+        assert orbits(n, t).shifts == shifts
 
 
 def intermediate_divisors(n):
     return [q for q in range(2, n) if n % q == 0]
 
 
+def fold_values(part, values, qpart):
+    """The orbit values on qpart of the fold of part.expand(values), summed
+    through part.spread(qpart) as the walk sums a leaf."""
+    b = [0] * len(qpart)
+    for mult, (qid, times) in zip(values, part.spread(qpart)):
+        b[qid] += mult * times
+    return b
+
+
 def folds_hold(vec, k, moduli):
     """The leaf's quotient-fold test on a whole vector: the orbits of the
     multiplier 1 are the points of Z_n."""
     part = orbits(len(vec), 1)
-    return exhaust_mod._folds_hold(vec, exhaust_mod._quotient_folds(part, moduli), k)
+    qparts = [orbits(q, 1) for q in moduli]
+    return all(qpart.weighs(fold_values(part, vec, qpart), k) for qpart in qparts)
 
 
 class TestQuotientFolds:
@@ -273,9 +293,17 @@ class TestQuotientFolds:
         values = [vec[rep] for rep in part.reps]
         for q in intermediate_divisors(part.modulus):
             folded = fold(element(part.modulus, vec), q)
-            folds = exhaust_mod._quotient_folds(part, [q])
+            qpart = orbits(q, part.multiplier)
+            b = fold_values(part, values, qpart)
+            assert qpart.expand(b) == folded.coeffs, q
             for k in {sum(a * a for a in vec), sum(b * b for b in folded.coeffs)}:
-                assert exhaust_mod._folds_hold(values, folds, k) == (weight(folded) == k), (q, k)
+                assert qpart.weighs(b, k) == (weight(folded) == k), (q, k)
+
+    def test_spread_rejects_a_partition_of_no_quotient(self):
+        with pytest.raises(ValueError, match="no quotient"):
+            orbits(12, 5).spread(orbits(5, 1))
+        with pytest.raises(ValueError, match="no quotient"):
+            orbits(12, 5).spread(orbits(4, 3))
 
     @pytest.mark.parametrize(
         "name",
@@ -302,24 +330,25 @@ class TestQuotientFolds:
             assert folds_hold(sol.coeffs, k, intermediate_divisors(n))
 
     def test_rejects_every_leaf_of_104_81(self, monkeypatch):
-        # the margins fix the folds onto Z_8 and Z_13; every leaf the walk
-        # reaches fails the fold onto Z_26 or, past it, the one onto Z_52
-        folds_hold_real = exhaust_mod._folds_hold
-        leaves = []
+        # the margins fix the folds onto Z_8 and Z_13 (the lifter tests only
+        # their divisors); every leaf the walk reaches fails the fold onto
+        # Z_26 or, past it, the one onto Z_52
+        weighs_real = OrbitPartition.weighs
+        calls = []
 
-        def recording(assign, folds, k):
-            leaves.append((tuple(assign), folds, k))
-            return folds_hold_real(assign, folds, k)
+        def recording(self, values, k):
+            held = weighs_real(self, values, k)
+            calls.append((self.modulus, held))
+            return held
 
-        monkeypatch.setattr(exhaust_mod, "_folds_hold", recording)
+        monkeypatch.setattr(OrbitPartition, "weighs", recording)
         out = search(104, 81)
-        assert out.leaves_tested == len(leaves) == 98 and out.classes == 0
-        first_failed = Counter()
-        for assign, folds, k in leaves:
-            assert [qpart.modulus for qpart, _, _ in folds] == [26, 52]
-            failed = [q[0].modulus for q in folds if not folds_hold_real(assign, [q], k)]
-            first_failed[failed[0]] += 1
-        assert first_failed == {26: 74, 52: 24}
+        walk = [(q, held) for q, held in calls if 8 % q and 13 % q]
+        assert out.leaves_tested == 98 and out.classes == 0
+        # one Z_26 test per leaf, and a Z_52 test right after each that passes
+        assert [q for q, _ in walk].count(26) == 98
+        assert all(walk[i - 1] == (26, True) for i, (q, _) in enumerate(walk) if q == 52)
+        assert Counter(walk) == {(26, False): 74, (26, True): 24, (52, False): 24}
 
 
 class TestSearch:
@@ -363,6 +392,30 @@ class TestSearch:
         seq = search(63, 16, jobs=1)
         par = search(63, 16, jobs=2)
         assert seq == par
+
+    def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
+        # the pool forks all its workers at its first submit; this one maps
+        # serially and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        config = plan(104, 81)
+        table = config.table
+        pairs = margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
+        monkeypatch.setattr(exhaust_mod, "ProcessPoolExecutor", SerialPool)
+        assert search(104, 81, jobs=64) == search(104, 81)
+        assert sizes == [len(pairs)] == [18]
 
     def test_count_mode_rejected(self):
         # counting without listing is a view of the command line

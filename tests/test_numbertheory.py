@@ -85,6 +85,16 @@ class TestCoprimePart:
     def test_values(self, n, p, expect):
         assert coprime_part(n, p) == expect
 
+    @pytest.mark.parametrize("n,p", [(12, 1), (12, -1), (12, 0), (0, 2), (-4, 2)])
+    def test_rejects_inputs_without_an_answer(self, n, p):
+        # p = 1 and p = -1 divide every n, and every power of p divides 0
+        with pytest.raises(ValueError, match="coprime_part needs"):
+            coprime_part(n, p)
+
+    def test_self_conjugacy_of_a_unit_is_rejected(self):
+        with pytest.raises(ValueError, match="coprime_part needs"):
+            is_self_conjugate(1, 10)
+
 
 class TestSelfConjugate:
     def test_3_mod_10(self):
