@@ -3,11 +3,8 @@ search, nonexistence certificates, constructions, and a result catalog."""
 
 from .groupring import (
     GroupRingElement,
-    WeightProfile,
-    are_equivalent,
     canonical_form,
     conjugate,
-    delta,
     element,
     fold,
     from_support,
@@ -17,7 +14,6 @@ from .groupring import (
     shift,
     verify,
     weight,
-    weight_profile,
     witness_format,
     witness_parse,
 )

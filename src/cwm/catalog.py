@@ -37,10 +37,11 @@ WITNESS_DIR = "witnesses"
 QUARANTINE_DIR = "quarantine"
 
 STATUSES = ("exists", "nonexistent", "open")
+_RANK = {"open": 0, "exists": 1, "nonexistent": 1}
 
 
 class CatalogIntegrityError(Exception):
-    """An upsert tried to flip exists <-> nonexistent."""
+    """An upsert or a records line tried to flip exists <-> nonexistent."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class CatalogRecord:
     n: int
     k: int
     status: str
-    witness: Optional[str]  # path relative to the catalog root
+    witness: Optional[str]  # "witnesses/<file name>", relative to the catalog root
     provenance: str
 
     def __post_init__(self):
@@ -59,6 +60,14 @@ class CatalogRecord:
         # a tab or line break would split the record's line in records.tsv
         if any(c in (self.witness or "") + self.provenance for c in "\t\r\n"):
             raise ValueError("witness and provenance must not hold a tab or line break")
+        # the load reads and may quarantine this file, so it must not lie
+        # outside the witness directory
+        if self.witness is not None:
+            head, _, name = self.witness.partition("/")
+            if head != WITNESS_DIR or "/" in name or "\0" in name or name in ("", ".", ".."):
+                raise ValueError(
+                    f"witness must be {WITNESS_DIR}/<file name>, got {self.witness!r}"
+                )
 
 
 # parameters settled by the margin analyses over multiplier orbits
@@ -136,6 +145,10 @@ class Catalog:
             except ValueError as exc:
                 self.warnings.append(f"malformed record skipped ({exc}): {line!r}")
                 continue
+            # save writes one line per cell, so a repeat is a hand edit
+            if self._rank_gain(rec) <= 0:
+                self.warnings.append(f"record that does not strengthen its cell skipped: {line!r}")
+                continue
             if rec.status == "exists" and rec.witness is not None:
                 rec = self._check_witness(rec)
             self.records[(rec.n, rec.k)] = rec
@@ -155,8 +168,12 @@ class Catalog:
         except (OSError, WitnessFormatError) as exc:
             qdir = self.root / WITNESS_DIR / QUARANTINE_DIR
             qdir.mkdir(parents=True, exist_ok=True)
-            if path.exists():
-                path.rename(qdir / path.name)
+            if path.is_file():
+                # a file quarantined earlier under the same name stays
+                target, copy = qdir / path.name, 1
+                while target.exists():
+                    target, copy = qdir / f"{path.stem}.{copy}{path.suffix}", copy + 1
+                path.rename(target)
             self.warnings.append(f"witness for ({rec.n},{rec.k}) quarantined: {exc}")
             return replace(
                 rec, witness=None, provenance=rec.provenance + " [witness quarantined]"
@@ -210,20 +227,27 @@ class Catalog:
         construction may stand in for a witness (imported theory results
         have none to offer).
         """
-        old = self.records.get((record.n, record.k))
-        if old is not None:
-            ranked = {"open": 0, "exists": 1, "nonexistent": 1}
-            if ranked[record.status] < ranked[old.status]:
-                return None  # downgrade: ignore
-            if {old.status, record.status} == {"exists", "nonexistent"}:
-                raise CatalogIntegrityError(
-                    f"({record.n},{record.k}): stored {old.status} [{old.provenance}] "
-                    f"vs new {record.status} [{record.provenance}]"
-                )
+        if self._rank_gain(record) < 0:
+            return None  # downgrade: ignore
         if record.status == "exists":
             record = self._attach_witness(record, element)
         self.records[(record.n, record.k)] = record
         return record
+
+    def _rank_gain(self, record: CatalogRecord) -> int:
+        """The rank rule: how far record raises its cell (an empty cell
+        ranks -1, open 0, exists and nonexistent 1).  Raises
+        CatalogIntegrityError, naming both provenances, when record and
+        the stored record disagree on exists vs nonexistent."""
+        old = self.records.get((record.n, record.k))
+        if old is None:
+            return _RANK[record.status] + 1
+        if {old.status, record.status} == {"exists", "nonexistent"}:
+            raise CatalogIntegrityError(
+                f"({record.n},{record.k}): stored {old.status} [{old.provenance}] "
+                f"vs new {record.status} [{record.provenance}]"
+            )
+        return _RANK[record.status] - _RANK[old.status]
 
     def _attach_witness(
         self, record: CatalogRecord, element: Optional[GroupRingElement]

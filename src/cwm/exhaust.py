@@ -152,7 +152,7 @@ def exhaust_pair(
     the budget, or in first mode at the first verified leaf.
     """
     table = config.table
-    if len(r) != table.num_rows or len(c) != table.num_cols:
+    if len(r) != len(table.row_orbits) or len(c) != len(table.col_orbits):
         raise ValueError("margin vector length does not match the table")
     if sum(r) != config.s or sum(c) != config.s:
         raise ValueError(f"margin totals must equal s = {config.s}")
@@ -170,14 +170,14 @@ def exhaust_pair(
         size: tuple((mult, mult * size, mult * mult * size) for mult in mult_order)
         for size in set(partition.sizes)
     }
-    row_mass = [0] * table.num_rows
-    col_mass = [0] * table.num_cols
+    row_mass = [0] * len(table.row_orbits)
+    col_mass = [0] * len(table.col_orbits)
     sq_mass = 0
     steps = []
-    for j in range(table.num_cols):
-        for i in range(table.num_rows):
+    for j in range(len(table.col_orbits)):
+        for i in range(len(table.row_orbits)):
             for oid in table.boxes[i][j]:
-                size = table.orbit_size(oid)
+                size = partition.sizes[oid]
                 steps.append(
                     (oid, i, j, row_mass[i], col_mass[j], sq_mass, choices_of[size], False)
                 )

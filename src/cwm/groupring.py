@@ -76,12 +76,6 @@ def from_support(order: int, positives: Iterable[int] = (), negatives: Iterable[
     return GroupRingElement(order, tuple(coeffs))
 
 
-def delta(order: int, index: int = 0, value: int = 1) -> GroupRingElement:
-    coeffs = [0] * order
-    coeffs[index % order] = value
-    return GroupRingElement(order, tuple(coeffs))
-
-
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     """Cyclic convolution modulo X^n - 1, exact in Z."""
     if a.order != b.order:
@@ -126,10 +120,6 @@ def shift(a: GroupRingElement, s: int) -> GroupRingElement:
     return GroupRingElement(n, a.coeffs[-s:] + a.coeffs[:-s] if s else a.coeffs)
 
 
-def negate(a: GroupRingElement) -> GroupRingElement:
-    return GroupRingElement(a.order, tuple(-c for c in a.coeffs))
-
-
 def fold(a: GroupRingElement, m: int) -> GroupRingElement:
     """Reduce modulo X^m - 1: coefficient i of the result sums a_{i+jm}.
 
@@ -168,23 +158,6 @@ def verify(a: GroupRingElement, k: int, coeff_bound: int = 1) -> bool:
     return a.max_abs_coeff() <= coeff_bound and weight(a) == k
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """Coefficient counts forced on any CW(n, s^2)."""
-
-    s: int
-    k: int
-    positives: int
-    negatives: int
-
-
-def weight_profile(s: int) -> WeightProfile:
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    k = s * s
-    return WeightProfile(s=s, k=k, positives=(k + s) // 2, negatives=(k - s) // 2)
-
-
 def canonical_form(a: GroupRingElement) -> GroupRingElement:
     """Lexicographically least coefficient vector over the equivalence
     group generated by cyclic shifts, X -> X^t for gcd(t,n)=1, and
@@ -211,12 +184,6 @@ def canonical_form(a: GroupRingElement) -> GroupRingElement:
             if best is None or least < best:
                 best = least
     return GroupRingElement(n, best)
-
-
-def are_equivalent(a: GroupRingElement, b: GroupRingElement) -> bool:
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    return canonical_form(a) == canonical_form(b)
 
 
 def _divisors(n: int) -> list[int]:

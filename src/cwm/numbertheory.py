@@ -47,9 +47,6 @@ class OrbitPartition:
     def orbit_of(self, x: int) -> int:
         return self.index[x % self.modulus]
 
-    def members(self, oid: int) -> tuple[int, ...]:
-        return self.orbits[oid][1]
-
     def expand(self, values: Sequence[int]) -> tuple[int, ...]:
         """Vector over Z_modulus carrying values[i] on every member of orbit i."""
         vec = [0] * self.modulus

@@ -28,20 +28,6 @@ class OrbitTable:
     col_orbits: OrbitPartition  # Z_m orbits under t mod m
     boxes: tuple[tuple[tuple[int, ...], ...], ...]  # boxes[i][j] = Z_n orbit ids
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_orbits)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_orbits)
-
-    def orbit_rep(self, oid: int) -> int:
-        return self.partition.orbits[oid][0]
-
-    def orbit_size(self, oid: int) -> int:
-        return len(self.partition.orbits[oid][1])
-
 
 def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     if d * m != n:
@@ -92,12 +78,13 @@ def render(table: OrbitTable) -> str:
     header = [f"Z_{table.d} \\ Z_{table.m}"] + [
         _bracket(rep, len(members)) for rep, members in table.col_orbits.orbits
     ]
+    part = table.partition
     rows_text = [header]
     for i, (rep, members) in enumerate(table.row_orbits.orbits):
         row = [_bracket(rep, len(members))]
-        for j in range(table.num_cols):
+        for j in range(len(table.col_orbits)):
             cell = " ".join(
-                _bracket(table.orbit_rep(oid), table.orbit_size(oid))
+                _bracket(part.orbits[oid][0], part.sizes[oid])
                 for oid in table.boxes[i][j]
             )
             row.append(cell)

@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -91,3 +93,13 @@ def test_census_row_plans(n, k):
     d, m = cwm.exhaust.contraction_parameters(n, k)
     t = cwm.exhaust.plan(m, k, coeff_bound=d).table.multiplier
     assert [d, m, t] == VERDICTS["census"][f"census({n},{k})"][2:5]
+
+
+def test_seed_self_test_passes():
+    # every pinned verdict, census row, `cwm margins` byte and catalog hash
+    # of bench/verdicts.json, under two seeds
+    result = subprocess.run(
+        [sys.executable, "bench/check_seeds.py"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -137,6 +137,80 @@ class TestPersistence:
             ]
             assert cat.witness_element(7, 4) is None
 
+    def test_second_quarantine_keeps_the_first(self, tmp_path, cw7):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.save()
+        bad = ["CW 7 4 1\n1 1 1 0 0 0 0\n", "CW 7 4 1\n0 0 0 1 1 1 1\n"]
+        for text in bad:  # unsaved, so records.tsv names the witness both times
+            (tmp_path / "witnesses" / "cw7_4.cw").write_text(text)
+            assert Catalog(tmp_path).witness_element(7, 4) is None
+        qdir = tmp_path / "witnesses" / "quarantine"
+        assert {p.name: p.read_text() for p in qdir.iterdir()} == {
+            "cw7_4.cw": bad[0], "cw7_4.1.cw": bad[1]
+        }
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
+    def test_witness_outside_the_catalog_untouched(self, tmp_path, absolute):
+        root, victim = tmp_path / "cat", tmp_path / "victim" / "notes.txt"
+        root.mkdir()
+        victim.parent.mkdir()
+        victim.write_text("not a witness\n")
+        witness = str(victim) if absolute else "../victim/notes.txt"
+        (root / RECORD_FILE).write_text(f"7\t4\texists\t{witness}\thand edit\n")
+        cat = Catalog(root)
+        assert victim.read_text() == "not a witness\n"
+        assert not (root / "witnesses").exists()
+        assert cat.records == {}
+        assert len(cat.warnings) == 1
+        assert cat.warnings[0].startswith("malformed record skipped (witness must be witnesses/")
+
+    @pytest.mark.parametrize(
+        "witness",
+        ["cw7_4.cw", "witnesses", "witnesses/", "witnesses/.", "witnesses/..",
+         "witnesses/a/b.cw", "witnesses/../cw7_4.cw", "/witnesses/cw7_4.cw",
+         "witnesses/a\0b.cw"],
+    )
+    def test_record_refuses_a_witness_outside_the_witness_directory(self, witness):
+        with pytest.raises(ValueError, match="witness must be witnesses/<file name>"):
+            CatalogRecord(7, 4, "exists", witness, "hand edit")
+
+    def test_directory_named_as_witness_stays(self, tmp_path):
+        (tmp_path / RECORD_FILE).write_text("7\t4\texists\twitnesses/quarantine\thand edit\n")
+        (tmp_path / "witnesses" / "quarantine").mkdir(parents=True)
+        cat = Catalog(tmp_path)
+        assert (tmp_path / "witnesses" / "quarantine").is_dir()
+        assert list((tmp_path / "witnesses").iterdir()) == [tmp_path / "witnesses" / "quarantine"]
+        assert cat.record(7, 4).witness is None
+        assert len(cat.warnings) == 1 and "(7,4) quarantined" in cat.warnings[0]
+
+    @pytest.mark.parametrize(
+        "repeat",
+        ["7\t4\topen\t-\thand edit", "7\t4\texists\twitnesses/bad.cw\thand edit"],
+        ids=["reopen", "restate"],
+    )
+    def test_repeated_line_that_does_not_strengthen_skipped(self, tmp_path, cw7, repeat):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.save()
+        (tmp_path / "witnesses" / "bad.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
+        with (tmp_path / RECORD_FILE).open("a") as fh:
+            fh.write(repeat + "\n")
+        again = Catalog(tmp_path)
+        assert again.record(7, 4) == cat.record(7, 4)
+        assert again.witness_element(7, 4) == cw7
+        assert again.warnings == [f"record that does not strengthen its cell skipped: {repeat!r}"]
+        assert (tmp_path / "witnesses" / "bad.cw").exists()  # never read
+
+    def test_repeated_line_flipping_a_verdict_raises(self, tmp_path):
+        cat = Catalog(tmp_path)
+        cat.upsert(CatalogRecord(110, 81, "nonexistent", None, "margin analysis"))
+        cat.save()
+        with (tmp_path / RECORD_FILE).open("a") as fh:
+            fh.write("110\t81\texists\t-\texternal claim\n")
+        with pytest.raises(CatalogIntegrityError, match="margin analysis.*external claim"):
+            Catalog(tmp_path)
+
     def test_unknown_cell_reads_open(self, tmp_path):
         assert Catalog(tmp_path).status(57, 49) == "open"
 

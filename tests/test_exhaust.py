@@ -111,13 +111,13 @@ def exhaust_pair_oracle(config, r, c, residual_cut=False):
     partition = table.partition
     mults = (0,) + tuple(sign * v for v in range(1, bound + 1) for sign in (1, -1))
     steps = []
-    row_mass = [0] * table.num_rows
-    col_mass = [0] * table.num_cols
+    row_mass = [0] * len(table.row_orbits)
+    col_mass = [0] * len(table.col_orbits)
     sq_mass = 0
-    for j in range(table.num_cols):
-        for i in range(table.num_rows):
+    for j in range(len(table.col_orbits)):
+        for i in range(len(table.row_orbits)):
             for oid in table.boxes[i][j]:
-                size = table.orbit_size(oid)
+                size = partition.sizes[oid]
                 steps.append((oid, i, j, size, row_mass[i], col_mass[j], sq_mass))
                 row_mass[i] += bound * size
                 col_mass[j] += bound * size

@@ -6,7 +6,7 @@ from cwm.orbittable import build, default_factorization, render
 
 
 def box_reps(table, i, j):
-    return {table.orbit_rep(o) for o in table.boxes[i][j]}
+    return {table.partition.orbits[o][0] for o in table.boxes[i][j]}
 
 
 def assigned(table, assignment):
@@ -42,14 +42,14 @@ class TestBuild:
     def test_110_table(self):
         t = build(110, 10, 11, 3)
         assert box_reps(t, 0, 1) == {20}
-        assert t.orbit_size(t.boxes[0][1][0]) == 5
+        assert t.partition.sizes[t.boxes[0][1][0]] == 5
         # the size-20 orbit through 3 sits in box (row <1>_4, col <1>_5);
         # its least member is 1, which is the canonical label here
         i = t.row_orbits.reps.index(1)
         assert box_reps(t, i, 1) == {1}
         oid = next(o for o in t.boxes[i][1])
-        assert t.orbit_size(oid) == 20
-        assert 3 in t.partition.members(oid)
+        assert t.partition.sizes[oid] == 20
+        assert 3 in t.partition.orbits[oid][1]
 
     def test_identity_multiplier_gives_crt_singletons(self):
         t = build(15, 3, 5, 1)
@@ -60,11 +60,11 @@ class TestBuild:
     def test_every_orbit_in_exactly_one_box(self):
         t = build(63, 9, 7, 2)
         seen = []
-        for i in range(t.num_rows):
-            for j in range(t.num_cols):
+        for i in range(len(t.row_orbits)):
+            for j in range(len(t.col_orbits)):
                 seen.extend(t.boxes[i][j])
         assert sorted(seen) == list(range(len(t.partition.orbits)))
-        assert sum(t.orbit_size(o) for o in seen) == 63
+        assert sum(t.partition.sizes[o] for o in seen) == 63
 
     def test_orbit_size_divisible_by_line_sizes(self):
         for n, d, m, mult in ((63, 9, 7, 2), (110, 10, 11, 3), (143, 11, 13, 3)):
@@ -72,9 +72,9 @@ class TestBuild:
             for i, row in enumerate(t.boxes):
                 for j, box in enumerate(row):
                     for oid in box:
-                        size = t.orbit_size(oid)
-                        assert size % len(t.row_orbits.members(i)) == 0
-                        assert size % len(t.col_orbits.members(j)) == 0
+                        size = t.partition.sizes[oid]
+                        assert size % t.row_orbits.sizes[i] == 0
+                        assert size % t.col_orbits.sizes[j] == 0
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestMargins:
 
     def test_all_plus_one_gives_row_totals(self):
         t = build(63, 9, 7, 2)
-        a = assigned(t, {t.orbit_rep(o): 1 for o in range(len(t.partition.orbits))})
+        a = assigned(t, {t.partition.orbits[o][0]: 1 for o in range(len(t.partition.orbits))})
         r, c = fold_margins(t, a)
         assert r == (7, 42, 14)
         assert sum(r) == sum(c) == 63
