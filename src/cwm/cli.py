@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / solutions found, 1 exhaustively nonexistent (or
-failed verification), 2 usage or file error, 3 method inapplicable, 4 node
-budget exceeded.
+failed verification), 2 usage or file error (or a walk deeper than
+Python's recursion limit), 3 method inapplicable, 4 node budget exceeded.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except MethodInapplicable as exc:
         print(f"method inapplicable: {exc}", file=sys.stderr)
         code = EXIT_INAPPLICABLE
-    except (ValueError, OSError, catalog_mod.CatalogIntegrityError) as exc:
+    except (ValueError, OSError, RecursionError, catalog_mod.CatalogIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if args.stats:

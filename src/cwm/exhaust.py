@@ -1,41 +1,24 @@
-"""Depth-first exhaustive search over orbit assignments.
+"""Exhaustive search over orbit assignments, one margin pair at a time.
 
-The search walks the orbit table column by column (right to left),
-within a column box by box from the bottom row up, assigning each orbit
-a signed multiplicity.  Margins count down toward zero; a line that can
-no longer reach its target is cut immediately, and the running square
-mass (which must end exactly at k) prunes as well.  The residual-mass
-cut drops a child when the square mass still to place is below the sum
-of its absolute row, or column, residuals: the later steps add
-sum mult^2 size >= sum |mult| size, no less than either sum, so no leaf
-is lost.  The margins fix the folds onto Z_d and Z_m and their divisors;
-a leaf is first folded onto each other divisor q of n, 1 < q < n,
-smallest first, through OrbitPartition.spread, and rejected unless
-OrbitPartition.weighs finds B B^(-1) = k on Z_q, as for every fold of a
-solution (the compression of Dokovic and Kotsireas, DCC 74 (2015)).  A
-leaf that passes is expanded once over Z_n; it is fixed by the
-multiplier, so its autocorrelation is constant on orbits, and it is
+Each pair's assignments come from orbittable.walk over the orbit table,
+whose rows must sum to the pair's row margins and whose columns to its
+column margins.  The margins fix the folds onto Z_d and Z_m and their
+divisors; a leaf is first folded onto each other divisor q of n,
+1 < q < n, smallest first, through OrbitPartition.spread, and rejected
+unless OrbitPartition.weighs finds B B^(-1) = k on Z_q, as for every
+fold of a solution (the compression of Dokovic and Kotsireas, DCC 74
+(2015)).  A leaf that passes is expanded once over Z_n; it is fixed by
+the multiplier, so its autocorrelation is constant on orbits, and it is
 rejected at the first orbit whose one shift gives a nonzero value.
 Every leaf that survives is verified by the full convolution, so
 reported solutions are sound independent of the pruning.
-
-Every cut reads only the square mass and the row and column residuals,
-and when the walk opens a column the columns behind it are at zero and
-the ones ahead still hold their margins.  So the subtree below a
-column's first step is fixed by the step, the square mass and the row
-residuals.  A pair's walk records the node count of each such subtree
-that held no leaf, and on a repeat adds that count instead of walking it
-again: a leafless subtree verifies nothing and moves no other counter.
-nodes_visited therefore counts the nodes of the search tree, those of a
-skipped subtree included, and a budget stops the count where the full
-walk would have stopped; the residual-mass cut makes that tree smaller.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -52,15 +35,11 @@ from .numbertheory import (
     prime_power_multiplier,
     theorem_multipliers,
 )
-from .orbittable import OrbitTable, build, default_factorization
+from .orbittable import OrbitTable, Stop, build, default_factorization, walk
 
 
 class MethodInapplicable(Exception):
     """No multiplier is derivable and none was supplied."""
-
-
-class _Stop(Exception):
-    """Ends a pair's walk; raised and caught inside exhaust_pair only."""
 
 
 @dataclass(frozen=True)
@@ -134,13 +113,6 @@ class SearchOutcome:
         )
 
 
-def _multiplicity_order(bound: int) -> tuple[int, ...]:
-    vals = [0]
-    for v in range(1, bound + 1):
-        vals.extend((v, -v))
-    return tuple(vals)
-
-
 def exhaust_pair(
     config: SearchConfig, r: Sequence[int], c: Sequence[int]
 ) -> SearchOutcome:
@@ -159,131 +131,39 @@ def exhaust_pair(
     bound = config.coeff_bound
     k = config.k
     partition = table.partition
-
-    # one step per orbit in visit order (column-major: right to left, bottom
-    # to top, box orbits reversed), built back to front: the orbit, its row
-    # and column, the row, column and square masses the later steps can
-    # still carry, each multiplicity with its line and square mass, and
-    # whether the step opens its column
-    mult_order = _multiplicity_order(bound)
-    choices_of = {
-        size: tuple((mult, mult * size, mult * mult * size) for mult in mult_order)
-        for size in set(partition.sizes)
-    }
-    row_mass = [0] * len(table.row_orbits)
-    col_mass = [0] * len(table.col_orbits)
-    sq_mass = 0
-    steps = []
-    for j in range(len(table.col_orbits)):
-        for i in range(len(table.row_orbits)):
-            for oid in table.boxes[i][j]:
-                size = partition.sizes[oid]
-                steps.append(
-                    (oid, i, j, row_mass[i], col_mass[j], sq_mass, choices_of[size], False)
-                )
-                row_mass[i] += bound * size
-                col_mass[j] += bound * size
-                sq_mass += bound * bound * size
-        # every column holds an orbit; its last step built is its first visited
-        steps[-1] = (*steps[-1][:-1], True)
-    steps.reverse()
-    nplan = len(steps)
-
     # the folds onto Z_d and Z_m and their quotients are fixed by the margins;
     # the others are built at the first leaf, which most pairs never reach
     n, d, m = table.n, table.d, table.m
     moduli = [q for q in range(2, n) if n % q == 0 and d % q and m % q]
     folds = None
-    r_res = list(r)
-    c_res = list(c)
-    assign = [0] * len(partition)
-
-    nodes = 0
-    leaves = 0
     verified_count = 0
-    limit = sys.maxsize if config.node_budget is None else config.node_budget
     found: dict[tuple[int, ...], GroupRingElement] = {}
-    # node count of each leafless subtree below a column's first step, by
-    # (step, square mass to place, row residuals), which fix it (module docstring)
-    leafless: dict[tuple[int, ...], int] = {}
 
-    def rec(idx: int, room: int, r_abs: int, c_abs: int):
-        nonlocal nodes, leaves, verified_count, folds
-        nodes += 1
-        if nodes > limit:
-            raise _Stop
-        if idx == nplan:
-            # the remaining masses forced all residuals to zero and room == 0
-            leaves += 1
-            if folds is None:
-                qparts = [orbits(q, partition.multiplier) for q in moduli]
-                folds = [(qpart, partition.spread(qpart)) for qpart in qparts]
-            for qpart, spread in folds:
-                b = [0] * len(qpart)
-                for mult, (qid, times) in zip(assign, spread):
-                    if mult:
-                        b[qid] += mult * times
-                if not qpart.weighs(b, k):
-                    return
-            vec = partition.expand(assign)
-            if not partition.off_peak_vanishes(vec):
+    def leaf(assign: list[int]):
+        nonlocal folds, verified_count
+        if folds is None:
+            qparts = [orbits(q, partition.multiplier) for q in moduli]
+            folds = [(qpart, partition.spread(qpart)) for qpart in qparts]
+        for qpart, spread in folds:
+            b = [0] * len(qpart)
+            for mult, (qid, times) in zip(assign, spread):
+                if mult:
+                    b[qid] += mult * times
+            if not qpart.weighs(b, k):
                 return
-            candidate = GroupRingElement(table.n, vec)
-            if verify(candidate, k, bound):
-                verified_count += 1
-                canon = canonical_form(candidate)
-                found.setdefault(canon.coeffs, canon)
-                if config.mode == "first":
-                    raise _Stop
+        vec = partition.expand(assign)
+        if not partition.off_peak_vanishes(vec):
             return
-        oid, i, j, nxt_row, nxt_col, nxt_sq, choices, opens = steps[idx]
-        if opens:
-            key = (idx, room, *r_res)
-            size = leafless.get(key)
-            if size is not None:
-                # the walk would visit size nodes here and move no other
-                # counter, stopping at the first node past the budget
-                nodes += size - 1
-                if nodes > limit:
-                    nodes = limit + 1
-                    raise _Stop
-                return
-            nodes_at = nodes
-            leaves_at = leaves
-        ri = r_res[i]
-        cj = c_res[j]
-        r_rest = r_abs - abs(ri)
-        c_rest = c_abs - abs(cj)
-        for mult, mass, sq_step in choices:
-            nroom = room - sq_step
-            if nroom > nxt_sq:
-                continue
-            if nroom < 0:
-                break  # the choices come in nondecreasing square mass
-            nr = ri - mass
-            if nr > nxt_row or -nr > nxt_row:
-                continue
-            nc = cj - mass
-            if nc > nxt_col or -nc > nxt_col:
-                continue
-            # the residual-mass cut (module docstring)
-            nr_abs = r_rest + abs(nr)
-            nc_abs = c_rest + abs(nc)
-            if nr_abs > nroom or nc_abs > nroom:
-                continue
-            r_res[i] = nr
-            c_res[j] = nc
-            assign[oid] = mult
-            rec(idx + 1, nroom, nr_abs, nc_abs)
-        r_res[i] = ri
-        c_res[j] = cj
-        assign[oid] = 0
-        if opens and leaves == leaves_at:
-            leafless[key] = nodes - nodes_at + 1
+        candidate = GroupRingElement(n, vec)
+        if verify(candidate, k, bound):
+            verified_count += 1
+            canon = canonical_form(candidate)
+            found.setdefault(canon.coeffs, canon)
+            if config.mode == "first":
+                raise Stop
 
-    with suppress(_Stop):
-        rec(0, k, sum(map(abs, r)), sum(map(abs, c)))
-    del rec  # rec holds itself in its closure; free the walk's state now
+    limit = sys.maxsize if config.node_budget is None else config.node_budget
+    nodes, leaves = walk(table.boxes, partition.sizes, r, c, k, bound, 1, leaf, limit)
     return SearchOutcome(
         solutions=tuple(found[key] for key in sorted(found)),
         solutions_found=verified_count,

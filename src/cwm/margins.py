@@ -15,8 +15,9 @@ equation.
 
 lift_margin_solutions finds them by quotient lifting: the fold of such a
 B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
-set is built from Z_1 = (s) one prime at a time, each level keeping only
-vectors with B * B^(-1) = k and pruning by the self-conjugacy theorem
+set is built from Z_1 = (s) one prime at a time, each level walked by
+orbittable.walk, the search's walk, keeping only vectors with
+B * B^(-1) = k and pruning by the self-conjugacy theorem
 (p^a divides every b when p^(2a) || k, p does not divide the modulus and
 is self-conjugate mod it).  solve_margin_system enumerates every
 solution of the two moment identities instead; it stays as the oracle
@@ -34,6 +35,7 @@ from typing import Iterable, Sequence
 from .numbertheory import (
     OrbitPartition, factorize, is_self_conjugate, orbits, self_conjugacy_divisor
 )
+from .orbittable import walk
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,9 @@ def lift_margin_solutions(s: int, partition: OrbitPartition, bound: int) -> list
     bound * m / q, so every level keeps every fold of a final solution.
     By the self-conjugacy theorem self_conjugacy_divisor(k, m) divides
     every b of a solution, and so of its folds; every level prunes by it.
+    A child vector folds onto c iff sum b_O * |O| = |O'| * c_O' over the
+    child orbits O that reduce into each parent orbit O', so a level is
+    one orbittable.walk per parent c, with one row and a column per O'.
     """
     k = s * s
     m = partition.modulus
@@ -122,87 +127,26 @@ def lift_margin_solutions(s: int, partition: OrbitPartition, bound: int) -> list
     parent = orbits(1, 1)
     level = [MarginSolution(parent.sizes, (s,))]
     q = 1
+    found: list[tuple[int, ...]] = []  # the current level's walks' leaves
+
+    def keep(assign: list[int]):
+        found.append(tuple(assign))
+
     for p, e in sorted(factorize(m).items(), reverse=True):
         for _ in range(e):
             q *= p
             child = partition if q == m else orbits(q, partition.multiplier)
-            level = _lift_level(level, parent, child, k, bound * (m // q), divisor)
+            columns: list[list[int]] = [[] for _ in parent.orbits]
+            for oid, (pid, _) in enumerate(child.spread(parent)):
+                columns[pid].append(oid)
+            found.clear()
+            for sol in level:
+                target = [size * b for size, b in zip(parent.sizes, sol.values)]
+                walk((columns,), child.sizes, (s,), target, k, bound * (m // q), divisor, keep)
+            level = [MarginSolution(child.sizes, values) for values in found]
             level = fold_consistency_filter(level, child, k)
             parent = child
     return sorted(level, key=lambda sol: sol.values)
-
-
-def _lift_level(
-    level: list[MarginSolution],
-    parent: OrbitPartition,
-    child: OrbitPartition,
-    k: int,
-    bound: int,
-    divisor: int,
-) -> list[MarginSolution]:
-    """Orbit-constant vectors on Z_{p*q} with square mass k, |b| <= bound
-    and divisor | b that fold onto a vector of level (on Z_q), for the
-    parent partition of Z_q and the child partition of Z_{p*q}."""
-    p = child.modulus // parent.modulus
-    # child orbits grouped by the parent orbit they reduce into; a child
-    # vector folds onto c iff sum b_O * |O| = |O'| * c_O' for each parent O'
-    groups: list[list[int]] = [[] for _ in parent.orbits]
-    for oid, (pid, _) in enumerate(child.spread(parent)):
-        groups[pid].append(oid)
-    sizes = child.sizes
-    top = bound - bound % divisor
-    choices = range(-top, top + 1, divisor)
-    # (orbit, size, group, mass of the group's later orbits, square
-    # capacity of all later orbits)
-    plan = []
-    later = sum(sizes)
-    for j, members in enumerate(groups):
-        rest = sum(sizes[oid] for oid in members)
-        for oid in members:
-            rest -= sizes[oid]
-            later -= sizes[oid]
-            plan.append((oid, sizes[oid], j, rest, top * top * later))
-    group_start = [members[0] for members in groups]
-    vec = [0] * len(sizes)
-    out: list[MarginSolution] = []
-
-    # one walk per level, over the target and floor the loop below sets
-    def rec(i: int, need: int, budget: int):
-        if i == len(plan):
-            if budget == 0:
-                out.append(MarginSolution(sizes, tuple(vec)))
-            return
-        oid, size, j, rest, capacity = plan[i]
-        if oid == group_start[j]:
-            need = target[j]
-        if rest:
-            values = choices
-        else:  # the group's last orbit takes what its target leaves
-            b, r = divmod(need, size)
-            values = (b,) if not r and abs(b) <= bound and not b % divisor else ()
-        for b in values:
-            nneed = need - b * size
-            nbudget = budget - b * b * size
-            # Cauchy-Schwarz on the group's later orbits, floors on later
-            # groups, and |b| <= bound on all later orbits
-            slack = nbudget - floor[j + 1]
-            if slack < 0 or nneed * nneed > slack * rest or nbudget > capacity:
-                continue
-            vec[oid] = b
-            rec(i + 1, nneed, nbudget)
-
-    for sol in level:
-        target = [len(members) * c for (_, members), c in zip(parent.orbits, sol.values)]
-        # least square mass of groups j..: each of the |O'| fibres of p
-        # elements sums to c, so its parts are as equal as divisibility allows
-        floor = [0] * (len(groups) + 1)
-        for j in range(len(groups) - 1, -1, -1):
-            a, r = divmod(abs(sol.values[j]) // divisor, p)
-            fibre = divisor * divisor * (r * (a + 1) ** 2 + (p - r) * a * a)
-            floor[j] = floor[j + 1] + len(parent.orbits[j][1]) * fibre
-        rec(0, 0, k)
-    del rec  # rec holds itself in its closure; free the walk's state now
-    return out
 
 
 def self_conjugacy_filter(

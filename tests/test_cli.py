@@ -128,6 +128,15 @@ class TestSearch:
         assert out.startswith("CW(7,4): 1 equivalence classes")
         assert err.startswith("error: [Errno 2] No such file or directory")
 
+    def test_walk_past_the_recursion_limit_exits_2(self, capsys):
+        # 997 singleton orbits: the walk recurses deeper than Python allows,
+        # which decides nothing, and CW(997,1) exists, so this is no exit 1
+        with alarm(60):
+            code, out, err = run(capsys, "search", "--n", "997", "--k", "1", "-t", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+
     def test_witness_out_carries_its_own_bound(self, capsys, tmp_path):
         # the first class of ICW_3(7,4) is -2, so its witness has bound 2
         target = tmp_path / "found.cw"

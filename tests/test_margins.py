@@ -154,9 +154,11 @@ class TestLiftMarginSolutions:
     # the lifter prunes by the self-conjugacy divisor; equality with the
     # unpruned oracle checks that the theorem, as the code states it,
     # drops no fold-consistent vector
-    def test_matches_filtered_moment_solutions(self):
+    @staticmethod
+    def check_against_oracle(cases):
+        """(checked, pruned by a divisor > 1, nonempty) over s = 2..7."""
         checked = pruned = nonempty = 0
-        for part, bound in lifting_cases():
+        for part, bound in cases:
             for s in range(2, 8):
                 lifted = lift_margin_solutions(s, part, bound)
                 if s * s > bound * bound * part.modulus:
@@ -169,8 +171,23 @@ class TestLiftMarginSolutions:
                 checked += 1
                 pruned += self_conjugacy_divisor(s * s, part.modulus) > 1
                 nonempty += bool(lifted)
+        return checked, pruned, nonempty
+
+    def test_matches_filtered_moment_solutions(self):
+        checked, pruned, nonempty = self.check_against_oracle(lifting_cases())
         assert {part.modulus for part, _ in lifting_cases()} == set(range(2, 41))
         assert (checked, pruned) == (1632, 773) and nonempty > 100
+
+    def test_matches_filtered_moment_solutions_at_census_bounds(self):
+        # the census's contracted searches fold at bounds well above 3
+        cases = [
+            (part, bound)
+            for m in range(2, 41)
+            for part in orbit_partitions(m)
+            if len(part) <= 5
+            for bound in (4, 7, 12)
+        ]
+        assert self.check_against_oracle(cases) == (990, 579, 858)
 
     @settings(max_examples=60, deadline=None)
     @given(
