@@ -1,14 +1,13 @@
-"""Exhaustive search over orbit assignments, one margin pair at a time.
+"""Exhaustive search over orbit assignments, one walk unit at a time.
 
-Each pair's assignments come from orbittable.walk over the orbit table,
-whose rows must sum to the pair's row margins and whose columns to its
-column margins.  The margins fix the folds onto Z_d and Z_m and their
-divisors; a leaf is first folded onto each other divisor q of n,
-1 < q < n, smallest first, through OrbitPartition.spread, and rejected
-unless OrbitPartition.weighs finds B B^(-1) = k on Z_q, as for every
-fold of a solution (the compression of Dokovic and Kotsireas, DCC 74
-(2015)).  A leaf that passes is expanded once over Z_n; it is fixed by
-the multiplier, so its autocorrelation is constant on orbits, and it is
+search lifts each margin pair (r, c) onto an intermediate quotient Z_q
+before it walks (walk_units).  Every fold of a solution satisfies
+B B^(-1) = k (the compression of Dokovic and Kotsireas, DCC 74 (2015)),
+and the lift keeps every such fold, so a pair whose lift is empty has
+no solution.  Each lifted vector is one unit: an orbittable.walk of a
+table whose columns (or rows) are the Z_q orbits, with the vector as
+their targets.  A leaf is expanded once over Z_n; it is fixed by the
+multiplier, so its autocorrelation is constant on orbits, and it is
 rejected at the first orbit whose one shift gives a nonzero value.
 Every leaf that survives is verified by the full convolution, so
 reported solutions are sound independent of the pruning.
@@ -35,7 +34,7 @@ from .numbertheory import (
     prime_power_multiplier,
     theorem_multipliers,
 )
-from .orbittable import OrbitTable, Stop, build, default_factorization, walk
+from .orbittable import OrbitTable, Stop, build, default_factorization, refine, walk
 
 
 class MethodInapplicable(Exception):
@@ -131,30 +130,15 @@ def exhaust_pair(
     bound = config.coeff_bound
     k = config.k
     partition = table.partition
-    # the folds onto Z_d and Z_m and their quotients are fixed by the margins;
-    # the others are built at the first leaf, which most pairs never reach
-    n, d, m = table.n, table.d, table.m
-    moduli = [q for q in range(2, n) if n % q == 0 and d % q and m % q]
-    folds = None
     verified_count = 0
     found: dict[tuple[int, ...], GroupRingElement] = {}
 
     def leaf(assign: list[int]):
-        nonlocal folds, verified_count
-        if folds is None:
-            qparts = [orbits(q, partition.multiplier) for q in moduli]
-            folds = [(qpart, partition.spread(qpart)) for qpart in qparts]
-        for qpart, spread in folds:
-            b = [0] * len(qpart)
-            for mult, (qid, times) in zip(assign, spread):
-                if mult:
-                    b[qid] += mult * times
-            if not qpart.weighs(b, k):
-                return
+        nonlocal verified_count
         vec = partition.expand(assign)
         if not partition.off_peak_vanishes(vec):
             return
-        candidate = GroupRingElement(n, vec)
+        candidate = GroupRingElement(table.n, vec)
         if verify(candidate, k, bound):
             verified_count += 1
             canon = canonical_form(candidate)
@@ -229,7 +213,8 @@ def search(
     jobs: int = 1,
 ) -> SearchOutcome:
     """Full driver: plan the search, solve the margin systems of both
-    folds, and run the exhaust over every margin pair.
+    folds, and run the exhaust over every walk unit of the margin pairs;
+    a node budget is split evenly over the units.
 
     Finds every solution class fixed by the multiplier group, which is
     complete up to equivalence because some translate of any solution is
@@ -243,16 +228,60 @@ def search(
     table = config.table
     row_sols, col_sols = config.margin_solutions()
     pairs = margins_mod.margin_pairs(row_sols, col_sols, table.row_orbits, table.col_orbits)
-    configs = [replace(config, node_budget=b) for b in _split_budget(node_budget, len(pairs))]
-    parallel = jobs > 1 and mode != "first" and len(pairs) > 1
-    workers = min(jobs, len(pairs))  # the pool forks all its workers at its first submit
+    units = walk_units(config, pairs)
+    budgets = _split_budget(node_budget, len(units))
+    configs = [replace(unit, node_budget=b) for (unit, _, _), b in zip(units, budgets)]
+    rs, cs = [r for _, r, _ in units], [c for _, _, c in units]
+    parallel = jobs > 1 and mode != "first" and len(units) > 1
+    workers = min(jobs, len(units))  # the pool forks all its workers at its first submit
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         parts = []
-        for part in (pool.map if parallel else map)(exhaust_pair, configs, *zip(*pairs)):
+        for part in (pool.map if parallel else map)(exhaust_pair, configs, rs, cs):
             parts.append(part)
             if mode == "first" and part.classes:
                 break
     return SearchOutcome.merge(parts)
+
+
+def walk_units(
+    config: SearchConfig, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> list[tuple[SearchConfig, tuple[int, ...], tuple[int, ...]]]:
+    """The walks of a search as (config, r, c) for exhaust_pair: each
+    margin pair lifted onto an intermediate quotient Z_q, and one walk per
+    lifted vector, whose Z_q columns (or rows) take it as their targets.
+
+    The column side lifts c from Z_m one prime of d at a time, in the
+    lifter's order, up to q = (d / p) * m for the last prime p, with r as
+    the cross fold; the row side lifts r from Z_d through the primes of m.
+    When both sides can lift they race: each round gives each side, the
+    column side first, a node budget for all its level walks, 1024 and
+    doubling, and the first to finish wins; a side keeps its finished
+    walks between rounds.  Orders with d = 1, where each pair is one leaf,
+    or with no lift on either side walk each pair as it is.
+    """
+    table = config.table
+    sides = []
+    for flip, (fixed, lifted) in enumerate(
+        ((table.row_orbits, table.col_orbits), (table.col_orbits, table.row_orbits))
+    ):
+        moduli = margins_mod.lift_moduli(lifted.modulus, table.n)[:-1]
+        if table.d > 1 and moduli:
+            sides.append((flip, fixed, [lifted, *(orbits(q, table.multiplier) for q in moduli)], {}))
+    bound = config.coeff_bound * table.n  # on the fold onto Z_1
+    budget = 1024
+    while sides:
+        for flip, fixed, chain, walks in sides:
+            starts = pairs if flip else [(c, r) for r, c in pairs]
+            lifts = margins_mod.lift(config.k, chain, starts, fixed, bound, walks, budget)
+            if lifts is None:
+                continue
+            if flip:
+                refined = replace(config, table=refine(table, chain[-1], fixed))
+                return [(refined, g.scaled, c) for (_, c), gs in zip(pairs, lifts) for g in gs]
+            refined = replace(config, table=refine(table, fixed, chain[-1]))
+            return [(refined, r, g.scaled) for (r, _), gs in zip(pairs, lifts) for g in gs]
+        budget *= 2
+    return [(config, r, c) for r, c in pairs]
 
 
 def _split_budget(total: Optional[int], parts: int) -> list[Optional[int]]:

@@ -13,13 +13,16 @@ only sample; OrbitPartition.weighs tests it on orbit values.  The margin
 targets that drive the exhaustive search are the solutions of that
 equation.
 
-lift_margin_solutions finds them by quotient lifting: the fold of such a
-B onto Z_{m/p} is again one, with bound multiplied by p, so the solution
-set is built from Z_1 = (s) one prime at a time, each level walked by
-orbittable.walk, the search's walk, keeping only vectors with
-B * B^(-1) = k and pruning by the self-conjugacy theorem
-(p^a divides every b when p^(2a) || k, p does not divide the modulus and
-is self-conjugate mod it).  solve_margin_system enumerates every
+lift finds them by quotient lifting: the fold of such a B onto Z_(q/p)
+is again one, with the bound multiplied by p, so a solution set on Z_q
+is built from a fold onto a quotient one prime at a time, each level
+walked by orbittable.walk, the search's walk, keeping only vectors with
+B * B^(-1) = k and pruning by the self-conjugacy theorem (p^a divides
+every b when p^(2a) || k, p does not divide the modulus and is
+self-conjugate mod it); every level keeps every fold of a final
+solution.  lift_margin_solutions lifts from Z_1 = (s); the search lifts
+each margin pair from one of its folds, with the other fold as a second
+family of line targets.  solve_margin_system enumerates every
 solution of the two moment identities instead; it stays as the oracle
 the lifter is tested against, and count_margin_solutions counts its
 solutions without listing them.  fold_consistency_filter applies weighs
@@ -29,13 +32,14 @@ to a list of solutions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .numbertheory import (
     OrbitPartition, factorize, is_self_conjugate, orbits, self_conjugacy_divisor
 )
-from .orbittable import walk
+from .orbittable import orbit_boxes, walk
 
 
 @dataclass(frozen=True)
@@ -110,43 +114,89 @@ def lift_margin_solutions(s: int, partition: OrbitPartition, bound: int) -> list
     |b_i| <= bound, in lexicographic order: fold_consistency_filter(
     solve_margin_system(s, partition.sizes, bound), partition, k).
 
-    Found by lifting from Z_1 through the prime chain of m.  A solution
-    on Z_m folds onto a solution on each Z_q (q | m) with bound
-    bound * m / q, so every level keeps every fold of a final solution.
-    By the self-conjugacy theorem self_conjugacy_divisor(k, m) divides
-    every b of a solution, and so of its folds; every level prunes by it.
-    A child vector folds onto c iff sum b_O * |O| = |O'| * c_O' over the
-    child orbits O that reduce into each parent orbit O', so a level is
-    one orbittable.walk per parent c, with one row and a column per O'.
+    Found by lift from Z_1 = (s) through the prime chain of m, with the
+    one-row fold onto Z_1 as the cross fold.
     """
-    k = s * s
     m = partition.modulus
-    divisor = self_conjugacy_divisor(k, m)
     if abs(s) > bound * m:
         return []
-    parent = orbits(1, 1)
-    level = [MarginSolution(parent.sizes, (s,))]
-    q = 1
-    found: list[tuple[int, ...]] = []  # the current level's walks' leaves
+    chain = [orbits(q, partition.multiplier) for q in (1, *lift_moduli(1, m)[:-1])]
+    (found,) = lift(s * s, [*chain, partition], [((s,), (s,))], chain[0], bound * m)
+    return sorted(found, key=lambda sol: sol.values)
 
-    def keep(assign: list[int]):
-        found.append(tuple(assign))
 
-    for p, e in sorted(factorize(m).items(), reverse=True):
-        for _ in range(e):
-            q *= p
-            child = partition if q == m else orbits(q, partition.multiplier)
-            columns: list[list[int]] = [[] for _ in parent.orbits]
-            for oid, (pid, _) in enumerate(child.spread(parent)):
-                columns[pid].append(oid)
-            found.clear()
+def lift_moduli(base: int, n: int) -> list[int]:
+    """The moduli from Z_base up to Z_n, base | n, one prime of n / base
+    at a time, largest prime first; n is the last."""
+    out = [base]
+    for p, e in sorted(factorize(n // base).items(), reverse=True):
+        out += [out[-1] * p**i for i in range(1, e + 1)]
+    return out[1:]
+
+
+def lift(
+    k: int,
+    chain: Sequence[OrbitPartition],
+    starts: Iterable[tuple[Sequence[int], Sequence[int]]],
+    cross: OrbitPartition,
+    bound: int,
+    walks: Optional[dict] = None,
+    budget: int = sys.maxsize,
+) -> Optional[list[list[MarginSolution]]]:
+    """For each start (c, x), the orbit-value vectors B on chain[-1] with
+    B * B^(-1) = k and |b| <= bound / chain[-1].modulus whose folds onto
+    chain[0] and onto cross have the scaled (orbit-size weighted) vectors
+    c and x.  chain is a tower of quotients under one multiplier, each a
+    prime times the one before; cross shares the multiplier.
+
+    A level is one orbittable.walk per parent vector: a column per parent
+    orbit O', holding the child orbits O that reduce into it, with target
+    sum b_O |O| = |O'| c_O'; a row per orbit of Z_gcd(q, cross.modulus),
+    with x folded there as targets; and only multiples of
+    self_conjugacy_divisor(k, chain[-1].modulus).  A level keeps the
+    leaves with B * B^(-1) = k.  walks, if given, keeps each level walk's
+    (vectors, nodes) by its targets, and a walk found there is not walked
+    again.  Returns None once the walks, those in walks included, pass
+    budget nodes.
+    """
+    step = self_conjugacy_divisor(k, chain[-1].modulus)
+    room = budget - sum(nodes for _, nodes in (walks or {}).values())
+    levels = []
+    for parent, child in zip(chain, chain[1:]):
+        rows = orbits(math.gcd(child.modulus, cross.modulus), cross.multiplier)
+        levels.append((child, rows, orbit_boxes(child, rows, parent), cross.spread(rows)))
+    out = []
+    for c, x in starts:
+        sizes = chain[0].sizes
+        level = [MarginSolution(sizes, tuple(v // size for v, size in zip(c, sizes)))]
+        for child, rows, boxes, spread in levels:
+            r = [0] * len(rows)
+            for (i, _), v in zip(spread, x):
+                r[i] += v
+            found: list[MarginSolution] = []
             for sol in level:
-                target = [size * b for size, b in zip(parent.sizes, sol.values)]
-                walk((columns,), child.sizes, (s,), target, k, bound * (m // q), divisor, keep)
-            level = [MarginSolution(child.sizes, values) for values in found]
-            level = fold_consistency_filter(level, child, k)
-            parent = child
-    return sorted(level, key=lambda sol: sol.values)
+                key = (child.modulus, sol.values, *r)
+                done = walks.get(key) if walks is not None else None
+                if done is None:
+                    leaves: list[MarginSolution] = []
+
+                    def keep(assign: list[int]):
+                        leaves.append(MarginSolution(child.sizes, tuple(assign)))
+
+                    nodes, _ = walk(
+                        boxes, child.sizes, r, sol.scaled, k, bound // child.modulus, step, keep,
+                        room,
+                    )
+                    if nodes > room:
+                        return None
+                    room -= nodes
+                    done = fold_consistency_filter(leaves, child, k), nodes
+                    if walks is not None:
+                        walks[key] = done
+                found += done[0]
+            level = found
+        out.append(level)
+    return out
 
 
 def self_conjugacy_filter(

@@ -6,9 +6,11 @@ the Z_m-orbit of its image mod m (column).  Row and column margins of
 an orbit assignment are the signed orbit-size sums per line; they are
 the orbit-size-scaled intersection numbers of the two folds.  With
 d = 1 the table has one row and one column per orbit of Z_n; the search
-uses it for orders with no coprime split.  walk is the one walk over
-signed orbit values, of an orbit table's pair of margins and of a margin
-lifter's level.
+uses it for orders with no coprime split.  refine gives the same orbits
+other row and column folds, such as a lifted margin pair's Z_q.
+orbit_boxes sorts orbits into boxes for both and for a margin lifter's
+level.  walk is the one walk over signed orbit values, of a table's pair
+of margins and of a lifter's level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -43,13 +45,26 @@ def build(n: int, d: int, m: int, t: int) -> OrbitTable:
     part = orbits(n, t)
     rows = orbits(d, t % d)
     cols = orbits(m, t % m)
-    box_lists: list[list[list[int]]] = [
-        [[] for _ in range(len(cols))] for _ in range(len(rows))
-    ]
+    return OrbitTable(n, d, m, t, part, rows, cols, orbit_boxes(part, rows, cols))
+
+
+def refine(table: OrbitTable, rows: OrbitPartition, cols: OrbitPartition) -> OrbitTable:
+    """The table of the same Z_n orbits over other row and column folds:
+    quotients of Z_n under its multiplier, which need not be coprime."""
+    boxes = orbit_boxes(table.partition, rows, cols)
+    return replace(table, d=rows.modulus, m=cols.modulus, row_orbits=rows, col_orbits=cols,
+                   boxes=boxes)
+
+
+def orbit_boxes(
+    part: OrbitPartition, rows: OrbitPartition, cols: OrbitPartition
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """boxes[i][j]: the orbits of part that reduce into orbit i of rows and
+    orbit j of cols, two quotients of part under the same multiplier."""
+    box_lists: list[list[list[int]]] = [[[] for _ in cols.orbits] for _ in rows.orbits]
     for oid, ((i, _), (j, _)) in enumerate(zip(part.spread(rows), part.spread(cols))):
         box_lists[i][j].append(oid)
-    boxes = tuple(tuple(tuple(cell) for cell in row) for row in box_lists)
-    return OrbitTable(n, d, m, t, part, rows, cols, boxes)
+    return tuple(tuple(tuple(cell) for cell in row) for row in box_lists)
 
 
 @lru_cache(maxsize=256)
@@ -90,9 +105,10 @@ def walk(
     and the residuals, and when the walk opens a column the columns
     behind it are at zero and the ones ahead still hold their targets.
     So the subtree below a column's first step is fixed by the step, the
-    square mass and the row residuals; the walk records the node count of
-    each such subtree that held no leaf and adds it on a repeat instead
-    of walking it again.  That calls no leaf and counts the nodes of the
+    square mass and the row residuals, for any partition of the orbits
+    into rows and columns; the walk records the node count of each such
+    subtree that held no leaf and adds it on a repeat instead of walking
+    it again.  That calls no leaf and counts the nodes of the
     whole tree, so a limit stops the count where the full walk would.
     """
     top = bound - bound % step

@@ -463,8 +463,8 @@ class TestSeed:
                      (132, 81), (182, 64), (144, 49), (104, 81)):
             assert seeded.status(n, k) == "nonexistent"
 
-    # three of the long-run verdicts, re-derived by the search they rest on
-    @pytest.mark.parametrize("n,k", [(104, 81), (152, 49), (160, 49)])
+    # the five long-run verdicts, re-derived by the search they rest on
+    @pytest.mark.parametrize("n,k", [(104, 81), (152, 49), (160, 49), (144, 49), (160, 81)])
     def test_long_run_verdict_rederived(self, seeded, n, k):
         out = search(n, k)
         assert out.classes == 0 and out.exhaustive

@@ -186,17 +186,17 @@ class TestSearch:
         [
             (("--n", "63", "--k", "16"), 0,
              "CW(63,16): 2 equivalence classes "
-             "(4 solutions found, 10 candidates tested, 178 nodes)\n"),
+             "(4 solutions found, 10 candidates tested, 81 nodes)\n"),
             (("--n", "110", "--k", "81"), 1,
              "CW(110,81): 0 equivalence classes "
-             "(0 solutions found, 0 candidates tested, 44 nodes)\n"
+             "(0 solutions found, 0 candidates tested, 0 nodes)\n"
              "exhaustively none: margin systems and orbit search rule every candidate out\n"),
             (("--n", "52", "--k", "81", "-t", "3", "--coeff-bound", "3"), 0,
              "ICW_3(52,81): 33 equivalence classes "
-             "(33 solutions found, 1548 candidates tested, 94099 nodes)\n"),
+             "(33 solutions found, 154 candidates tested, 5385 nodes)\n"),
             (("--n", "63", "--k", "16", "--out", "x.cw"), 0,
              "CW(63,16): 2 equivalence classes "
-             "(4 solutions found, 10 candidates tested, 178 nodes)\n"),
+             "(4 solutions found, 10 candidates tested, 81 nodes)\n"),
         ],
         ids=["63-16", "110-81", "icw3-52-81", "63-16-out"],
     )

@@ -2,22 +2,24 @@ import gc
 import importlib.resources
 import itertools
 import math
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cwm import exhaust as exhaust_mod
+from cwm import margins as margins_mod
 from cwm.exhaust import (
     CONTRACTED_SEARCH_CASES,
     MethodInapplicable,
     SearchConfig,
+    SearchOutcome,
     contraction_parameters,
     exhaust_pair,
     icw_census,
     plan,
     search,
+    walk_units,
 )
 from cwm.groupring import (
     GroupRingElement,
@@ -36,7 +38,6 @@ from cwm.margins import (
     solve_margin_system,
 )
 from cwm.numbertheory import (
-    OrbitPartition,
     factorize,
     is_self_conjugate,
     mcfarland_multiplier,
@@ -45,7 +46,7 @@ from cwm.numbertheory import (
     self_conjugacy_divisor,
     theorem_multipliers,
 )
-from cwm.orbittable import build
+from cwm.orbittable import build, walk
 
 
 def enumerated_side(s, part, bound):
@@ -78,6 +79,19 @@ def reference_classes(n, k, fold_consistency, symmetry_reduction, multiplier=Non
     for r, c in pairs:
         classes |= {sol.coeffs for sol in exhaust_pair(config, r, c).solutions}
     return classes
+
+
+def config_pairs(config):
+    """The margin pairs of a search set up by config."""
+    table = config.table
+    return margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
+
+
+def plain_search(n, k, multiplier=None, coeff_bound=1):
+    """search as it ran before the pair lift: every margin pair walked on
+    the plan's orbit table."""
+    config = plan(n, k, multiplier, coeff_bound)
+    return SearchOutcome.merge([exhaust_pair(config, r, c) for r, c in config_pairs(config)])
 
 
 def brute_force_classes(n, k):
@@ -329,27 +343,6 @@ class TestQuotientFolds:
         for sol in found:
             assert folds_hold(sol.coeffs, k, intermediate_divisors(n))
 
-    def test_rejects_every_leaf_of_104_81(self, monkeypatch):
-        # the margins fix the folds onto Z_8 and Z_13 (the lifter tests only
-        # their divisors); every leaf the walk reaches fails the fold onto
-        # Z_26 or, past it, the one onto Z_52
-        weighs_real = OrbitPartition.weighs
-        calls = []
-
-        def recording(self, values, k):
-            held = weighs_real(self, values, k)
-            calls.append((self.modulus, held))
-            return held
-
-        monkeypatch.setattr(OrbitPartition, "weighs", recording)
-        out = search(104, 81)
-        walk = [(q, held) for q, held in calls if 8 % q and 13 % q]
-        assert out.leaves_tested == 98 and out.classes == 0
-        # one Z_26 test per leaf, and a Z_52 test right after each that passes
-        assert [q for q, _ in walk].count(26) == 98
-        assert all(walk[i - 1] == (26, True) for i, (q, _) in enumerate(walk) if q == 52)
-        assert Counter(walk) == {(26, False): 74, (26, True): 24, (52, False): 24}
-
 
 class TestSearch:
     def test_order7_single_class(self, cw7):
@@ -393,7 +386,7 @@ class TestSearch:
         par = search(63, 16, jobs=2)
         assert seq == par
 
-    def test_pool_never_outnumbers_the_pairs(self, monkeypatch):
+    def test_pool_never_outnumbers_the_walk_units(self, monkeypatch):
         # the pool forks all its workers at its first submit; this one maps
         # serially and starts no process
         sizes = []
@@ -410,12 +403,11 @@ class TestSearch:
 
             map = staticmethod(map)
 
-        config = plan(104, 81)
-        table = config.table
-        pairs = margin_pairs(*config.margin_solutions(), table.row_orbits, table.col_orbits)
+        config = plan(52, 81, 3, 3)
+        units = walk_units(config, config_pairs(config))
         monkeypatch.setattr(exhaust_mod, "ProcessPoolExecutor", SerialPool)
-        assert search(104, 81, jobs=64) == search(104, 81)
-        assert sizes == [len(pairs)] == [18]
+        assert search(52, 81, 3, 3, jobs=64) == search(52, 81, 3, 3)
+        assert sizes == [len(units)] == [34]
 
     def test_count_mode_rejected(self):
         # counting without listing is a view of the command line
@@ -480,24 +472,35 @@ class TestSearchCounters:
     @pytest.mark.parametrize(
         "n,k,kwargs,counts",
         [
-            (104, 81, {}, (61503, 98, 0, 0, True)),
-            (110, 81, {}, (44, 0, 0, 0, True)),
-            (44, 81, dict(multiplier=3, coeff_bound=3), (151, 0, 0, 0, True)),
+            # every pair of (104,81) and (110,81) is refuted by its lift
+            (104, 81, {}, (0, 0, 0, 0, True)),
+            (110, 81, {}, (0, 0, 0, 0, True)),
+            (44, 81, dict(multiplier=3, coeff_bound=3), (30, 0, 0, 0, True)),
             # the stop paths: first mode ends the search at its first class,
-            # a budget ends each pair's walk at the first node past its share
-            (63, 16, dict(mode="first"), (30, 1, 1, 1, True)),
-            (132, 25, dict(mode="first"), (1819, 7, 1, 1, True)),
-            (104, 81, dict(node_budget=1000), (1018, 0, 0, 0, False)),
-            (104, 81, dict(node_budget=1000, jobs=2), (1018, 0, 0, 0, False)),
+            # a budget ends each walk unit at the first node past its share
+            (63, 16, dict(mode="first"), (21, 1, 1, 1, True)),
+            (132, 25, dict(mode="first"), (448, 2, 1, 1, True)),
+            # no unit is left to walk, so a budget cannot stop the search
+            (104, 81, dict(node_budget=1000), (0, 0, 0, 0, True)),
+            (104, 81, dict(node_budget=1000, jobs=2), (0, 0, 0, 0, True)),
             (63, 16, dict(node_budget=5), (8, 0, 0, 0, False)),
             (31, 25, dict(node_budget=1), (3, 0, 0, 0, False)),
             # census row (156,81): ICW_3(52,81), whose walk repeats many
             # leafless subtrees
-            (52, 81, dict(multiplier=3, coeff_bound=3), (94099, 1548, 33, 33, True)),
-            (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (43, 1, 1, 1, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3), (5385, 154, 33, 33, True)),
+            (52, 81, dict(multiplier=3, coeff_bound=3, mode="first"), (121, 2, 1, 1, True)),
             (
                 52, 81, dict(multiplier=3, coeff_bound=3, node_budget=100000),
-                (90825, 1520, 33, 33, False),
+                (5385, 154, 33, 33, True),
+            ),
+            # a budget below the 5,385 nodes of its 34 units stops it early
+            (
+                52, 81, dict(multiplier=3, coeff_bound=3, node_budget=2000),
+                (1118, 14, 7, 7, False),
+            ),
+            (
+                52, 81, dict(multiplier=3, coeff_bound=3, node_budget=2000, jobs=2),
+                (1118, 14, 7, 7, False),
             ),
         ],
     )
@@ -558,10 +561,10 @@ class TestLeaflessSubtrees:
 
 
 class TestResidualCutSoundness:
-    """The residual-mass cut and the quotient-fold test drop no leaf and
-    no class: on every margin pair, unbudgeted, the walk's leaves,
-    verified leaves, classes and exhaustive flag are those of the walk
-    without them, and its tree is no larger."""
+    """The residual-mass cut drops no leaf and no class: on every margin
+    pair, unbudgeted, the walk's leaves, verified leaves, classes and
+    exhaustive flag are those of the walk without it, and its tree is no
+    larger."""
 
     # the exhaust bench cells, (63,16), (176,49), then the contracted
     # searches of the census bench rows
@@ -591,6 +594,100 @@ class TestResidualCutSoundness:
             assert {sol.coeffs for sol in out.solutions} == classes
 
 
+def verified_leaves(config, r, c):
+    """Every verified vector of the margin pair (r, c) on config's table,
+    by the walk with no test at its leaves but the full convolution."""
+    table = config.table
+    out = []
+
+    def leaf(assign):
+        vec = table.partition.expand(assign)
+        if verify(GroupRingElement(table.n, vec), config.k, config.coeff_bound):
+            out.append(vec)
+
+    walk(table.boxes, table.partition.sizes, r, c, config.k, config.coeff_bound, 1, leaf)
+    return out
+
+
+def scaled_fold(vec, part):
+    """The scaled vector of the fold of vec onto part's quotient: the sum
+    of the folded coefficients over each orbit."""
+    folded = fold(element(len(vec), vec), part.modulus).coeffs
+    return tuple(sum(folded[x] for x in members) for _, members in part.orbits)
+
+
+class TestPairLift:
+    """search lifts each margin pair onto an intermediate quotient Z_q and
+    walks one unit per lifted vector; its answers must be those of the
+    plain path, which walks every pair on the plan's table."""
+
+    def test_refutes_every_pair_of_104_81(self):
+        # the margins fix the folds onto Z_8 and Z_13; no pair's column
+        # fold lifts through Z_26 onto Z_52, so nothing is walked
+        config = plan(104, 81)
+        pairs = config_pairs(config)
+        assert len(pairs) == 18
+        assert walk_units(config, pairs) == []
+        assert search(104, 81) == SearchOutcome((), 0, 0, 0, True)
+
+    @pytest.mark.parametrize(
+        "n,k,multiplier,bound", TestResidualCutSoundness.CELLS + [(152, 49, None, 1)]
+    )
+    def test_matches_the_plain_path(self, n, k, multiplier, bound):
+        out = search(n, k, multiplier, bound)
+        ref = plain_search(n, k, multiplier, bound)
+        assert (out.solutions, out.solutions_found, out.exhaustive) == (
+            ref.solutions, ref.solutions_found, ref.exhaustive
+        )
+
+    @pytest.mark.parametrize("n,k", [(72, 49), (132, 25), (168, 25)])
+    def test_either_side_gives_the_same_classes(self, monkeypatch, n, k):
+        config = plan(n, k)
+        table = config.table
+        pairs = config_pairs(config)
+        lift = margins_mod.lift
+        outcomes = []
+        # the column side lifts with the row fold onto Z_d as its cross
+        # fold, the row side with the column fold onto Z_m; the side left
+        # unblocked must finish, and its units walk its refined line
+        for kept, blocked, moved in ((table.d, table.m, "m"), (table.m, table.d, "d")):
+            finished = []
+
+            def one_side(k, chain, starts, cross, *rest, blocked=blocked):
+                if cross.modulus == blocked:
+                    return None
+                lifts = lift(k, chain, starts, cross, *rest)
+                finished.append(lifts is not None and cross.modulus)
+                return lifts
+
+            monkeypatch.setattr(margins_mod, "lift", one_side)
+            units = walk_units(config, pairs)
+            assert finished[-1] == kept
+            assert all(getattr(cfg.table, moved) != getattr(table, moved) for cfg, _, _ in units)
+            outcomes.append(SearchOutcome.merge([exhaust_pair(*unit) for unit in units]))
+        ref = plain_search(n, k)
+        for out in outcomes:
+            assert (out.solutions, out.solutions_found) == (ref.solutions, ref.solutions_found)
+
+    @pytest.mark.parametrize(
+        "n,k,multiplier,bound", [(63, 16, None, 1), (132, 25, None, 1), (52, 81, 3, 3)]
+    )
+    def test_every_solution_folds_onto_a_lifted_vector(self, n, k, multiplier, bound):
+        config = plan(n, k, multiplier, bound)
+        pairs = config_pairs(config)
+        units = walk_units(config, pairs)
+        refined = units[0][0].table
+        lifted = {(r, c) for _, r, c in units}
+        found = 0
+        for r, c in pairs:
+            for vec in verified_leaves(config, r, c):
+                folds = (scaled_fold(vec, refined.row_orbits), scaled_fold(vec, refined.col_orbits))
+                assert folds in lifted
+                assert folds[0] == r or folds[1] == c
+                found += 1
+        assert found == search(n, k, multiplier, bound).solutions_found > 0
+
+
 class TestNoCyclicGarbage:
     def test_searches_leave_no_cycles(self):
         # every recursive walk is freed when its search returns, so nothing
@@ -601,6 +698,11 @@ class TestNoCyclicGarbage:
             search(63, 16)
             search(104, 81)
             search(52, 81, multiplier=3, coeff_bound=3)
+            # raced pair lifts: the column side wins the first two, the
+            # row side the last
+            search(168, 25)
+            search(72, 49)
+            search(144, 49)
             assert gc.collect() == 0
         finally:
             gc.enable()
