@@ -5,8 +5,9 @@ directory.  One line per (n, k): status is "exists", "nonexistent", or
 "open"; exists records normally carry a witness file that re-verifies on
 every load as a {0, +-1} CW (corrupt files, and files declaring a larger
 coefficient bound, are quarantined, never silently dropped).
-The catalog keeps the element of every witness it has verified, on load
-or on write, and works from those elements rather than the files.
+Each exists record carries the element of the witness it has verified,
+on load or on write, and the catalog works from those elements rather
+than the files; the element is never written to the record file.
 Records only ever get stronger: open cells may be settled, but a
 settled cell never reopens, and an exists/nonexistent collision raises
 an integrity alarm carrying both provenances.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -51,10 +52,14 @@ class CatalogRecord:
     status: str
     witness: Optional[str]  # "witnesses/<file name>", relative to the catalog root
     provenance: str
+    # the verified witness behind an exists record; not part of its line
+    element: Optional[GroupRingElement] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+        if self.element is not None and self.status != "exists":
+            raise ValueError(f"a {self.status} record carries no witness element")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got ({self.n},{self.k})")
         # a tab or line break would split the record's line in records.tsv
@@ -121,8 +126,6 @@ class Catalog:
         self.n_max = n_max
         self.k_max = k_max
         self.records: dict[tuple[int, int], CatalogRecord] = {}
-        # the verified element behind every record that names a witness file
-        self.witnesses: dict[tuple[int, int], GroupRingElement] = {}
         self.warnings: list[str] = []
         if (self.root / RECORD_FILE).exists():
             self._load()
@@ -163,8 +166,7 @@ class Catalog:
             # weight is all that verify would still check
             if k != rec.k or elem.order != rec.n or weight(elem) != k:
                 raise WitnessFormatError("witness does not verify against its record")
-            self.witnesses[(rec.n, rec.k)] = elem
-            return rec
+            return replace(rec, element=elem)
         except (OSError, WitnessFormatError) as exc:
             qdir = self.root / WITNESS_DIR / QUARANTINE_DIR
             qdir.mkdir(parents=True, exist_ok=True)
@@ -212,25 +214,24 @@ class Catalog:
         return self.records.get((n, k))
 
     def witness_element(self, n: int, k: int) -> Optional[GroupRingElement]:
-        return self.witnesses.get((n, k))
+        rec = self.records.get((n, k))
+        return rec.element if rec else None
 
     # -------------------------------------------------------------- updates
 
-    def upsert(
-        self, record: CatalogRecord, element: Optional[GroupRingElement] = None
-    ) -> Optional[CatalogRecord]:
+    def upsert(self, record: CatalogRecord) -> Optional[CatalogRecord]:
         """Insert or strengthen a record; returns the stored record, or
         None when the update was a forbidden downgrade (ignored).
 
-        exists-records need a verifying witness element, which is written
-        into the witness directory.  Provenance naming an external
-        construction may stand in for a witness (imported theory results
-        have none to offer).
+        exists-records need to carry a verifying witness element, which is
+        written into the witness directory and stays on the stored record.
+        Provenance naming an external construction may stand in for a
+        witness (imported theory results have none to offer).
         """
         if self._rank_gain(record) < 0:
             return None  # downgrade: ignore
         if record.status == "exists":
-            record = self._attach_witness(record, element)
+            record = self._attach_witness(record)
         self.records[(record.n, record.k)] = record
         return record
 
@@ -249,9 +250,8 @@ class Catalog:
             )
         return _RANK[record.status] - _RANK[old.status]
 
-    def _attach_witness(
-        self, record: CatalogRecord, element: Optional[GroupRingElement]
-    ) -> CatalogRecord:
+    def _attach_witness(self, record: CatalogRecord) -> CatalogRecord:
+        element = record.element
         if element is not None:
             if element.order != record.n:
                 raise ValueError("witness order does not match the record")
@@ -263,14 +263,12 @@ class Catalog:
             wdir.mkdir(parents=True, exist_ok=True)
             name = f"{WITNESS_DIR}/cw{record.n}_{record.k}.cw"
             (self.root / name).write_text(witness_format(element, record.k))
-            self.witnesses[(record.n, record.k)] = element
             return replace(record, witness=name)
         if record.witness is not None or "external" not in record.provenance:
             raise ValueError(
                 f"exists record ({record.n},{record.k}) needs a witness "
                 "or an external-construction provenance"
             )
-        self.witnesses.pop((record.n, record.k), None)
         return record
 
     def import_dir(self, path: Path | str) -> list[CatalogRecord]:
@@ -288,15 +286,14 @@ class Catalog:
             except (OSError, ValueError) as exc:  # unreadable, or malformed
                 self.warnings.append(f"{file.name}: {exc}")
                 continue
-            if (elem.order, k) in self.witnesses and verify(elem, k):
+            if self.witness_element(elem.order, k) is not None and verify(elem, k):
                 self.warnings.append(
                     f"{file.name}: ({elem.order},{k}) already has a verified witness; skipped"
                 )
                 continue
             try:
                 rec = self.upsert(
-                    CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}"),
-                    element=elem,
+                    CatalogRecord(elem.order, k, "exists", None, f"imported {file.name}", elem)
                 )
             except ValueError as exc:  # a witness or file name that fails a check
                 self.warnings.append(f"{file.name}: {exc}")
@@ -317,10 +314,12 @@ class Catalog:
         added: list[CatalogRecord] = []
         while True:
             before = len(added)
-            for n, k, provenance, build in self._candidates(sorted(self.witnesses.items())):
+            records = sorted(self.records.items())
+            witnessed = [(key, rec.element) for key, rec in records if rec.element is not None]
+            for n, k, provenance, build in self._candidates(witnessed):
                 if self.status(n, k) != "exists":
-                    rec = CatalogRecord(n, k, "exists", None, provenance)
-                    added.append(self.upsert(rec, element=build()))
+                    rec = CatalogRecord(n, k, "exists", None, provenance, build())
+                    added.append(self.upsert(rec))
             if len(added) == before:
                 return added
 
@@ -381,10 +380,7 @@ def seed_known_results(root: Path | str, n_max: int = 200, k_max: int = 100) -> 
     cat = Catalog(root, n_max=n_max, k_max=k_max)
     for name in BUNDLED_WITNESSES:
         elem, k, _ = bundled_witness(name)
-        cat.upsert(
-            CatalogRecord(elem.order, k, "exists", None, f"bundled witness {name}"),
-            element=elem,
-        )
+        cat.upsert(CatalogRecord(elem.order, k, "exists", None, f"bundled witness {name}", elem))
     for cases, status, provenance in SETTLED:
         for n, k in cases:
             cat.upsert(CatalogRecord(n, k, status, None, provenance))

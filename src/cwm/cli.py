@@ -287,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff-bound", type=int, default=1)
     p.add_argument("--mode", choices=("first", "all", "count"), default="all")
     p.add_argument("--jobs", "-j", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument(
+        "--node-budget", type=int, default=None,
+        help="nodes for the walk units, split evenly; the margin and pair lifts run unbudgeted",
+    )
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("verify", help="check a witness file")

@@ -214,7 +214,9 @@ def search(
 ) -> SearchOutcome:
     """Full driver: plan the search, solve the margin systems of both
     folds, and run the exhaust over every walk unit of the margin pairs;
-    a node budget is split evenly over the units.
+    a node budget is split evenly over the units.  It bounds only their
+    walks: the margin lifts and the pair lift (walk_units) always run to
+    the end, and their nodes are not counted in nodes_visited.
 
     Finds every solution class fixed by the multiplier group, which is
     complete up to equivalence because some translate of any solution is
@@ -256,8 +258,9 @@ def walk_units(
     When both sides can lift they race: each round gives each side, the
     column side first, a node budget for all its level walks, 1024 and
     doubling, and the first to finish wins; a side keeps its finished
-    walks between rounds.  Orders with d = 1, where each pair is one leaf,
-    or with no lift on either side walk each pair as it is.
+    walks between rounds.  A lone side lifts once, with no budget.
+    Orders with d = 1, where each pair is one leaf, or with no lift on
+    either side walk each pair as it is.
     """
     table = config.table
     sides = []
@@ -268,7 +271,7 @@ def walk_units(
         if table.d > 1 and moduli:
             sides.append((flip, fixed, [lifted, *(orbits(q, table.multiplier) for q in moduli)], {}))
     bound = config.coeff_bound * table.n  # on the fold onto Z_1
-    budget = 1024
+    budget = 1024 if len(sides) > 1 else sys.maxsize
     while sides:
         for flip, fixed, chain, walks in sides:
             starts = pairs if flip else [(c, r) for r, c in pairs]

@@ -255,18 +255,22 @@ def reduce_by_affine_maps(
 
     Such a map sends a t-fixed fold B to the t-fixed fold x -> B(u*x + g)
     of an equivalent matrix, so one representative per orbit loses no
-    class."""
+    class.  The maps form a group, so the images of a solution are its
+    whole orbit: each orbit is built once, from its first solution, and
+    its other solutions are skipped."""
     perms = affine_orbit_permutations(partition)
     sizes = partition.sizes
-    seen = {}
+    seen: set[tuple[int, ...]] = set()
+    reps = []
     for sol in solutions:
         scaled = sol.scaled
+        if scaled in seen:
+            continue
         # index i of an image takes the value of the orbit i is mapped into
-        key = max(tuple(scaled[j] for j in perm) for perm in perms)
-        if key not in seen:
-            values = tuple(v // s for v, s in zip(key, sizes))
-            seen[key] = MarginSolution(sizes, values)
-    return [seen[key] for key in sorted(seen)]
+        images = {tuple(scaled[j] for j in perm) for perm in perms}
+        seen |= images
+        reps.append(max(images))
+    return [MarginSolution(sizes, tuple(v // s for v, s in zip(r, sizes))) for r in sorted(reps)]
 
 
 def margin_pairs(

@@ -1,6 +1,7 @@
 import importlib.resources
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,9 @@ from cwm.catalog import (
 )
 from cwm.constructions import multiple
 from cwm.exhaust import search
-from cwm.groupring import GroupRingElement, element, proper_decomposition, verify, witness_format
+from cwm.groupring import (
+    GroupRingElement, element, proper_decomposition, verify, witness_format, witness_parse
+)
 
 # records.tsv as seed_known_results wrote it before the catalog kept its
 # verified witness elements
@@ -30,20 +33,20 @@ class TestUpsert:
 
     def test_exists_with_element(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        rec = cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        rec = cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         assert rec.witness is not None
         assert (tmp_path / rec.witness).exists()
         assert cat.status(7, 4) == "exists"
 
     def test_file_name_without_element_refused(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         with pytest.raises(ValueError, match="needs a witness"):
             cat.upsert(CatalogRecord(7, 4, "exists", "witnesses/cw7_4.cw", "a name only"))
 
     def test_external_record_drops_the_witness(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         cat.upsert(CatalogRecord(7, 4, "exists", None, "an external construction"))
         assert cat.record(7, 4).witness is None
         assert cat.witness_element(7, 4) is None
@@ -51,26 +54,26 @@ class TestUpsert:
     def test_bad_witness_blocked(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
         with pytest.raises(ValueError):
-            cat.upsert(CatalogRecord(7, 5, "exists", None, "wrong k"), element=cw7)
+            cat.upsert(CatalogRecord(7, 5, "exists", None, "wrong k", cw7))
 
     def test_integer_weighing_matrix_blocked(self, tmp_path, cw7):
         # 2 * cw7 is an ICW_2(7,16), which is no CW(7,16): k > n
         cat = Catalog(tmp_path)
         doubled = element(7, [2 * c for c in cw7.coeffs])
         with pytest.raises(ValueError, match="fails verification"):
-            cat.upsert(CatalogRecord(7, 16, "exists", None, "doubled"), element=doubled)
+            cat.upsert(CatalogRecord(7, 16, "exists", None, "doubled", doubled))
         assert cat.status(7, 16) == "open"
         assert not (tmp_path / "witnesses" / "cw7_16.cw").exists()
 
     def test_downgrade_ignored(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         assert cat.upsert(CatalogRecord(7, 4, "open", None, "oops")) is None
         assert cat.status(7, 4) == "exists"
 
     def test_conflict_raises_with_both_provenances(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "witnessed"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "witnessed", cw7))
         with pytest.raises(CatalogIntegrityError, match="witnessed.*claimed impossible"):
             cat.upsert(CatalogRecord(7, 4, "nonexistent", None, "claimed impossible"))
 
@@ -84,7 +87,7 @@ class TestUpsert:
 class TestPersistence:
     def test_round_trip(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         cat.upsert(CatalogRecord(110, 81, "nonexistent", None, "analysis"))
         cat.save()
         again = Catalog(tmp_path)
@@ -94,7 +97,7 @@ class TestPersistence:
 
     def test_corrupt_witness_quarantined(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         cat.save()
         wfile = tmp_path / "witnesses" / "cw7_4.cw"
         wfile.write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")  # fails verification
@@ -139,7 +142,7 @@ class TestPersistence:
 
     def test_second_quarantine_keeps_the_first(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         cat.save()
         bad = ["CW 7 4 1\n1 1 1 0 0 0 0\n", "CW 7 4 1\n0 0 0 1 1 1 1\n"]
         for text in bad:  # unsaved, so records.tsv names the witness both times
@@ -175,6 +178,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="witness must be witnesses/<file name>"):
             CatalogRecord(7, 4, "exists", witness, "hand edit")
 
+    @pytest.mark.parametrize("status", ["nonexistent", "open"])
+    def test_record_refuses_an_element_unless_it_exists(self, cw7, status):
+        # the closure builds on every element a record carries
+        with pytest.raises(ValueError, match=f"a {status} record carries no witness element"):
+            CatalogRecord(7, 4, status, None, "hand edit", cw7)
+
+    def test_quarantined_witness_leaves_no_element(self, tmp_path, cw7):
+        cat = Catalog(tmp_path, n_max=28)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
+        cat.save()
+        (tmp_path / "witnesses" / "cw7_4.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
+        again = Catalog(tmp_path, n_max=28)
+        rec = again.record(7, 4)
+        assert (rec.status, rec.witness, rec.element) == ("exists", None, None)
+        assert again.close_under_constructions() == []
+
     def test_directory_named_as_witness_stays(self, tmp_path):
         (tmp_path / RECORD_FILE).write_text("7\t4\texists\twitnesses/quarantine\thand edit\n")
         (tmp_path / "witnesses" / "quarantine").mkdir(parents=True)
@@ -191,7 +210,7 @@ class TestPersistence:
     )
     def test_repeated_line_that_does_not_strengthen_skipped(self, tmp_path, cw7, repeat):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "test"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))
         cat.save()
         (tmp_path / "witnesses" / "bad.cw").write_text("CW 7 4 1\n1 1 1 1 0 0 0\n")
         with (tmp_path / RECORD_FILE).open("a") as fh:
@@ -331,8 +350,8 @@ class TestImport:
 class TestClosure:
     def test_product_and_multiples(self, tmp_path, cw7, cw13):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
-        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed"), element=cw13)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed", cw7))
+        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed", cw13))
         added = cat.close_under_constructions()
         assert cat.status(91, 36) == "exists"
         assert cat.status(14, 4) == "exists"
@@ -342,16 +361,16 @@ class TestClosure:
 
     def test_idempotent(self, tmp_path, cw7, cw13):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
-        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed"), element=cw13)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed", cw7))
+        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed", cw13))
         first = cat.close_under_constructions()
         second = cat.close_under_constructions()
         assert first and not second
 
     def test_every_added_witness_verifies(self, tmp_path, cw7, cw13):
         cat = Catalog(tmp_path)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
-        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed"), element=cw13)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed", cw7))
+        cat.upsert(CatalogRecord(13, 9, "exists", None, "seed", cw13))
         added = cat.close_under_constructions()
         cat.save()
         # the reopened catalog re-verifies every witness file on disk
@@ -363,7 +382,7 @@ class TestClosure:
 
     def test_works_from_the_verified_elements(self, tmp_path, cw7):
         cat = Catalog(tmp_path, n_max=28)
-        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed"), element=cw7)
+        cat.upsert(CatalogRecord(7, 4, "exists", None, "seed", cw7))
         cat.save()
         again = Catalog(tmp_path, n_max=28)
         # a file changed after it was verified on load is not read again
@@ -401,7 +420,8 @@ class TestCandidatesOracle:
     def test_same_candidates_in_the_same_order(self, tmp_path, window):
         n_max, k_max = window
         cat = seed_known_results(tmp_path, n_max=n_max, k_max=k_max)
-        witnessed = sorted(cat.witnesses.items())
+        records = sorted(cat.records.items())
+        witnessed = [(key, rec.element) for key, rec in records if rec.element is not None]
         got = [(n, k, prov) for n, k, prov, _ in cat._candidates(witnessed)]
         assert got == list(candidates_oracle(cat, witnessed))
         assert any(prov.startswith("product") for _, _, prov in got)
@@ -501,6 +521,19 @@ class TestSeed:
         assert (seeded.root / RECORD_FILE).read_text() == (
             GOLDEN / "catalog_records.tsv"
         ).read_text()
+
+    def test_reload_carries_the_parsed_witnesses(self, seeded):
+        again = Catalog(seeded.root)
+        assert again.warnings == []
+        for key, rec in again.records.items():
+            if rec.witness is None:
+                assert rec.element is None
+                continue
+            elem, _, _ = witness_parse((seeded.root / rec.witness).read_text())
+            assert rec.status == "exists" and rec.element == elem == seeded.records[key].element
+            # the element is evidence, not part of the record's identity
+            assert rec == replace(rec, element=None) == seeded.records[key]
+        assert sum(rec.element is not None for rec in again.records.values()) == 48
 
     def test_open_count_matches_arithmetic(self, seeded):
         opens = [rec for rec in seeded.records.values() if rec.status == "open"]

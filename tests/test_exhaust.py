@@ -670,6 +670,32 @@ class TestPairLift:
             assert (out.solutions, out.solutions_found) == (ref.solutions, ref.solutions_found)
 
     @pytest.mark.parametrize(
+        "n,k,crosses",
+        [
+            (104, 81, [8]),
+            (152, 49, [8]),
+            (160, 81, [32]),
+            (72, 49, [8, 9] * 3 + [8]),
+            (144, 49, [9, 16] * 7),
+        ],
+    )
+    def test_a_lone_side_lifts_once(self, monkeypatch, n, k, crosses):
+        # a lone side has no race to lose, so it is given no budget and
+        # never walks its level walks again; two sides still race
+        config = plan(n, k)
+        pairs = config_pairs(config)
+        lift = margins_mod.lift
+        calls = []
+
+        def counted(k, chain, starts, cross, *rest):
+            calls.append(cross.modulus)
+            return lift(k, chain, starts, cross, *rest)
+
+        monkeypatch.setattr(margins_mod, "lift", counted)
+        walk_units(config, pairs)
+        assert calls == crosses
+
+    @pytest.mark.parametrize(
         "n,k,multiplier,bound", [(63, 16, None, 1), (132, 25, None, 1), (52, 81, 3, 3)]
     )
     def test_every_solution_folds_onto_a_lifted_vector(self, n, k, multiplier, bound):

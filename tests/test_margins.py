@@ -15,6 +15,7 @@ from cwm.margins import (
     self_conjugacy_filter,
     solve_margin_system,
 )
+from cwm.exhaust import plan
 from cwm.numbertheory import orbits, self_conjugacy_divisor
 
 
@@ -324,6 +325,47 @@ class TestShiftReduction:
                 for perm in perms:
                     image = tuple(sol.scaled[perm[i]] for i in range(len(perm)))
                     assert image <= sol.scaled
+
+
+def reduce_oracle(solutions, partition):
+    """The earlier reduce_by_affine_maps: the greatest image of each
+    solution under every map, one solution at a time."""
+    perms = affine_orbit_permutations(partition)
+    sizes = partition.sizes
+    seen = {}
+    for sol in solutions:
+        scaled = sol.scaled
+        key = max(tuple(scaled[j] for j in perm) for perm in perms)
+        if key not in seen:
+            seen[key] = MarginSolution(sizes, tuple(v // s for v, s in zip(key, sizes)))
+    return [seen[key] for key in sorted(seen)]
+
+
+class TestReductionOracle:
+    @pytest.mark.parametrize(
+        "m,t,s,bound",
+        [(10, 3, 9, 11), (11, 3, 9, 10), (5, 4, 3, 3), (9, 7, 4, 7), (13, 3, 3, 2)],
+    )
+    def test_matches_the_per_solution_maximum(self, m, t, s, bound):
+        part = orbits(m, t)
+        sols = solve_margin_system(s, part.sizes, bound)
+        assert reduce_by_affine_maps(sols, part) == reduce_oracle(sols, part)
+
+    @pytest.mark.parametrize("n,k", [(63, 16), (152, 49), (168, 25), (72, 49)])
+    def test_matches_on_the_folds_of_a_search(self, n, k):
+        config = plan(n, k)
+        for (part, _), sols in zip(config.folds, config.margin_solutions()):
+            assert reduce_by_affine_maps(sols, part) == reduce_oracle(sols, part)
+
+    def test_one_orbit_under_multiplier_one(self):
+        # the weight-1 solutions of Z_31 with t = 1 are the 31 translates
+        # of a point, one orbit of the translations
+        part = orbits(31, 1)
+        sols = solve_margin_system(1, part.sizes, 1)
+        assert len(sols) == 31
+        reduced = reduce_by_affine_maps(sols, part)
+        assert reduced == reduce_oracle(sols, part)
+        assert [sol.values for sol in reduced] == [(1,) + (0,) * 30]
 
 
 def affine_pair_orbits(rows, cols, rows_part, cols_part):
