@@ -259,10 +259,14 @@ class Catalog:
                 raise ValueError(
                     f"witness for ({record.n},{record.k}) fails verification; upsert blocked"
                 )
-            wdir = self.root / WITNESS_DIR
-            wdir.mkdir(parents=True, exist_ok=True)
             name = f"{WITNESS_DIR}/cw{record.n}_{record.k}.cw"
-            (self.root / name).write_text(witness_format(element, record.k))
+            path = self.root / name
+            text = witness_format(element, record.k)
+            try:
+                path.write_text(text)
+            except FileNotFoundError:  # the first witness makes the directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
             return replace(record, witness=name)
         if record.witness is not None or "external" not in record.provenance:
             raise ValueError(

@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         if args.seed_demo:
             code = seed_demo()
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if args.stats:
-        print(f"[stats] elapsed {time.time() - t0:.3f}s")
+        print(f"[stats] elapsed {time.perf_counter() - t0:.3f}s")
     return code
 
 

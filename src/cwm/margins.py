@@ -24,9 +24,12 @@ solution.  lift_margin_solutions lifts from Z_1 = (s); the search lifts
 each margin pair from one of its folds, with the other fold as a second
 family of line targets.  solve_margin_system enumerates every
 solution of the two moment identities instead; it stays as the oracle
-the lifter is tested against, and count_margin_solutions counts its
-solutions without listing them.  fold_consistency_filter applies weighs
-to a list of solutions.
+the lifter is tested against.  count_margin_solutions counts its
+solutions without listing them (the raw count cwm margins prints), by
+a dynamic program over (linear sum, square sum) that places the
+largest orbits first and solves the last, smallest orbit from each
+state's linear residual in one check.  fold_consistency_filter applies
+weighs to a list of solutions.
 """
 
 from __future__ import annotations
@@ -91,22 +94,44 @@ def solve_margin_system(s: int, orbit_sizes: Sequence[int], bound: int) -> list[
 
 def count_margin_solutions(s: int, orbit_sizes: Sequence[int], bound: int) -> int:
     """len(solve_margin_system(s, orbit_sizes, bound)), by dynamic
-    programming over (linear sum, square sum) instead of enumeration."""
+    programming over (linear sum, square sum) instead of enumeration.
+
+    The count does not depend on the order of the coordinates, so the
+    orbits are placed largest first, while the state set is still small;
+    each value is tried in nondecreasing square mass, up to the mass
+    left, and the Cauchy-Schwarz cut of solve_margin_system bounds the
+    mass of the orbits still to place.  The last (smallest) orbit is
+    solved, not walked: a state (lin, sq) admits only b = (s - lin) /
+    size, which must divide exactly, lie in the bound and make the
+    square sum k."""
+    if not orbit_sizes:
+        return int(s == 0)  # the empty vector
     k = s * s
+    *head, last = sorted(orbit_sizes, reverse=True)
     states = {(0, 0): 1}
     later = sum(orbit_sizes)
-    for size in orbit_sizes:
+    for size in head:
         later -= size
         top = min(bound, math.isqrt(k // size))
+        values = sorted(range(-top, top + 1), key=abs)
+        choices = [(b * size, b * b * size) for b in values]
         nxt: dict[tuple[int, int], int] = {}
         for (lin, sq), ways in states.items():
-            for b in range(-top, top + 1):
-                nlin, nsq = lin + b * size, sq + b * b * size
+            room = k - sq
+            for dlin, dsq in choices:
+                if dsq > room:
+                    break
+                nlin = lin + dlin
                 # the Cauchy-Schwarz cut of solve_margin_system
-                if nsq <= k and (s - nlin) ** 2 <= (k - nsq) * later:
-                    nxt[nlin, nsq] = nxt.get((nlin, nsq), 0) + ways
+                if (s - nlin) ** 2 <= (room - dsq) * later:
+                    nxt[nlin, sq + dsq] = nxt.get((nlin, sq + dsq), 0) + ways
         states = nxt
-    return states.get((s, k), 0)
+    total = 0
+    for (lin, sq), ways in states.items():
+        b, rem = divmod(s - lin, last)
+        if not rem and abs(b) <= bound and sq + b * b * last == k:
+            total += ways
+    return total
 
 
 def lift_margin_solutions(s: int, partition: OrbitPartition, bound: int) -> list[MarginSolution]:

@@ -38,6 +38,18 @@ class TestUpsert:
         assert (tmp_path / rec.witness).exists()
         assert cat.status(7, 4) == "exists"
 
+    @pytest.mark.parametrize("root_exists", [True, False])
+    def test_first_witness_makes_the_witness_directory(self, tmp_path, cw7, cw13, root_exists):
+        root = tmp_path / "cat"
+        if root_exists:
+            root.mkdir()
+        cat = Catalog(root)
+        for elem, k in ((cw7, 4), (cw13, 9)):
+            assert not (root / "witnesses" / f"cw{elem.order}_{k}.cw").exists()
+            rec = cat.upsert(CatalogRecord(elem.order, k, "exists", None, "test", elem))
+            assert rec.witness == f"witnesses/cw{elem.order}_{k}.cw"
+            assert (root / rec.witness).read_text() == witness_format(elem, k)
+
     def test_file_name_without_element_refused(self, tmp_path, cw7):
         cat = Catalog(tmp_path)
         cat.upsert(CatalogRecord(7, 4, "exists", None, "test", cw7))

@@ -1,6 +1,10 @@
 import contextlib
+import functools
 import importlib.resources
+import itertools
+import re
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +266,12 @@ class TestSearch:
         _, stats, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
         assert "[stats]" not in plain
         assert "[stats]" in stats
+
+    def test_stats_elapsed_ignores_a_wall_clock_step(self, capsys, monkeypatch):
+        # the wall clock steps back an hour at every read
+        monkeypatch.setattr(time, "time", functools.partial(next, itertools.count(1e9, -3600)))
+        _, out, _ = run(capsys, "--stats", "search", "--n", "7", "--k", "4")
+        assert re.fullmatch(r"\[stats\] elapsed \d+\.\d{3}s", out.splitlines()[-1])
 
 
 class TestOrbitsAndMargins:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,34 @@ class TestCountMarginSolutions:
         # the Z_16 fold of (144,49): the enumeration lists 68574 solutions
         assert count_margin_solutions(7, (1, 2, 2, 2, 2, 2, 1, 2, 2), 9) == 68574
 
+    # every fold a tests/golden/margins_*.txt file prints: (s, orbit
+    # sizes, bound) and the raw count on its "solutions of the two moment
+    # equations" line
+    GOLDEN_FOLDS = [
+        (9, (1, 4, 4, 1), 11, 16),  # (110,81) Z_10
+        (9, (1, 5, 5), 10, 5),  # (110,81) Z_11
+        (9, (1, 5, 5), 13, 5),  # (143,81) Z_11
+        (9, (1, 3, 3, 3, 3), 11, 121),  # (143,81) Z_13
+        (7, (1, 3, 3, 1, 1), 16, 129),  # (144,49) Z_9
+        (7, (1, 2, 2, 2, 2, 2, 1, 2, 2), 9, 68574),  # (144,49) Z_16
+        (9, (1, 4), 32, 1),  # (160,81) Z_5
+        (9, (1, 8, 4, 2, 8, 2, 4, 1, 2), 5, 26902),  # (160,81) Z_32
+        (5, (1,) + (3,) * 10, 1, 2520),  # (31,25) Z_31
+        (8, (1, 21, 21, 3, 3), 4, 12),  # (49,64), t = 2, bound 4: Z_49
+        (4, (1, 6, 2), 7, 1),  # (63,16) Z_9
+        (4, (1, 3, 3), 9, 5),  # (63,16) Z_7
+    ]
+
+    @pytest.mark.parametrize("s,sizes,bound,count", GOLDEN_FOLDS)
+    def test_golden_fold_counts(self, s, sizes, bound, count):
+        assert count_margin_solutions(s, sizes, bound) == count
+
+    @pytest.mark.parametrize("s,sizes,bound,count", GOLDEN_FOLDS)
+    def test_golden_fold_counts_are_printed(self, s, sizes, bound, count):
+        line = f"orbit sizes {sizes}, |b_i| <= {bound}\n  {count} solutions of"
+        goldens = Path(__file__).parent / "golden"
+        assert any(line in path.read_text() for path in goldens.glob("margins_*.txt"))
+
     @settings(max_examples=150, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
@@ -115,6 +144,19 @@ class TestCountMarginSolutions:
         assert count_margin_solutions(s, sizes, bound) == len(
             solve_margin_system(s, sizes, bound)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from((1, 2, 4, 8)), max_size=9),
+        s=st.integers(-4, 8),
+        bound=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_power_of_two_sizes_in_any_order(self, sizes, s, bound, data):
+        count = count_margin_solutions(s, sizes, bound)
+        assert count == len(solve_margin_system(s, sizes, bound))
+        shuffled = data.draw(st.permutations(sizes))
+        assert count_margin_solutions(s, shuffled, bound) == count
 
 
 def orbit_partitions(m):
